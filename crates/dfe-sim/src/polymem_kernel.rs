@@ -430,7 +430,7 @@ impl PolyMemKernel {
     /// latency. The region engine shares port 0's datapath, so a region
     /// transfer and per-access reads on port 0 serialize against each other.
     ///
-    /// Host-side, the transfer replays the compiled plan's run table —
+    /// Host-side, the transfer replays the compiled plan's segments —
     /// unit-stride segments as block moves, the rest through the chunked
     /// strided gather — so wall-clock per modeled cycle tracks the
     /// coalesced replay, not a per-element loop. The *cycle* model is

@@ -12,16 +12,18 @@
 //!   scheme (the "runtime partial reconfiguration" the paper mentions as a
 //!   deployment option: same data, different conflict-free view set).
 //!
-//! By default every operation replays a compiled [`RegionPlan`]
-//! (see [`crate::region_plan`]): one bounds check, one origin address, then
-//! the plan's *run table* — maximal unit-stride segments become
-//! `copy_from_slice`/`copy_within` block moves, everything else goes
-//! through the fixed-width chunked strided loop. No per-access plan
-//! lookups, no coordinate reordering, no allocation beyond the caller's
-//! output buffer (copies between distinct plans stage through one scratch
-//! vector). The per-access path survives behind
-//! [`PolyMem::set_region_planning`] as the differential-testing oracle and
-//! the tracing path.
+//! Every operation first checks the region's extents against the logical
+//! space ([`Region::check_bounds`]), so an oversize region fails before
+//! anything is compiled or allocated. By default it then replays a
+//! compiled [`RegionPlan`] (see [`crate::region_plan`]): one origin
+//! address, then the plan's affine segments — unit-stride segments become
+//! `copy_from_slice` block moves, everything else goes through the
+//! fixed-width chunked strided loop. No per-access plan lookups, no
+//! coordinate reordering, no allocation beyond the caller's output buffer
+//! (copies between distinct plans stage through one scratch vector). The
+//! per-access path survives behind [`PolyMem::set_region_planning`] as the
+//! differential-testing oracle, and is also how overlapping and
+//! cross-shape copies run.
 
 use crate::config::PolyMemConfig;
 use crate::error::{PolyMemError, Result};
@@ -87,6 +89,7 @@ impl<T: Copy + Default> PolyMem<T> {
                 ports: self.config.read_ports,
             });
         }
+        region.check_bounds(self.config.rows, self.config.cols)?;
         if out.len() != region.len() {
             return Err(PolyMemError::WrongLaneCount {
                 got: out.len(),
@@ -95,7 +98,6 @@ impl<T: Copy + Default> PolyMem<T> {
         }
         if self.use_region_plan() {
             let plan = self.region_plan_traced(region)?;
-            plan.check_bounds(region, self.config.rows, self.config.cols)?;
             let base = self.afn.address(region.i, region.j) as isize;
             let span = self
                 .trc
@@ -109,7 +111,7 @@ impl<T: Copy + Default> PolyMem<T> {
             self.stats.elements_read += plan.len() as u64;
             if let Some(t) = &self.tlm {
                 t.region_read(port, plan.accesses, plan.len());
-                let (c, s) = byte_split::<T>(&plan);
+                let (c, s) = plan.byte_split(size_of::<T>());
                 t.region_bytes(c, s);
             }
             return Ok(());
@@ -131,7 +133,10 @@ impl<T: Copy + Default> PolyMem<T> {
     }
 
     /// Allocating convenience wrapper around [`Self::read_region_into`].
+    /// The bounds check runs before the output buffer is sized by the
+    /// region.
     pub fn read_region(&mut self, port: usize, region: &Region) -> Result<Vec<T>> {
+        region.check_bounds(self.config.rows, self.config.cols)?;
         let mut out = vec![T::default(); region.len()];
         self.read_region_into(port, region, &mut out)?;
         Ok(out)
@@ -139,6 +144,7 @@ impl<T: Copy + Default> PolyMem<T> {
 
     /// Write a whole region (values in the region's canonical order).
     pub fn write_region(&mut self, region: &Region, values: &[T]) -> Result<()> {
+        region.check_bounds(self.config.rows, self.config.cols)?;
         if values.len() != region.len() {
             return Err(PolyMemError::WrongLaneCount {
                 got: values.len(),
@@ -147,7 +153,6 @@ impl<T: Copy + Default> PolyMem<T> {
         }
         if self.use_region_plan() {
             let plan = self.region_plan_traced(region)?;
-            plan.check_bounds(region, self.config.rows, self.config.cols)?;
             let base = self.afn.address(region.i, region.j) as isize;
             let span = self
                 .trc
@@ -161,7 +166,7 @@ impl<T: Copy + Default> PolyMem<T> {
             self.stats.elements_written += plan.len() as u64;
             if let Some(t) = &self.tlm {
                 t.region_write(plan.accesses, plan.len());
-                let (c, s) = byte_split::<T>(&plan);
+                let (c, s) = plan.byte_split(size_of::<T>());
                 t.region_bytes(c, s);
             }
             return Ok(());
@@ -187,14 +192,13 @@ impl<T: Copy + Default> PolyMem<T> {
     /// destination access `t`, so overlapping regions behave exactly like
     /// the explicit per-access loop.
     ///
-    /// The planned path picks the cheapest replay that preserves those
-    /// semantics: disjoint same-residue-class copies are pure
-    /// `copy_within` block moves over the shared plan's store runs;
-    /// disjoint same-shape copies gather canonically through the source
-    /// run table and scatter through the destination's (same-shape regions
+    /// Only disjoint same-shape copies replay plans — same-shape regions
     /// decompose at fixed offsets from their origins, so canonical pairing
-    /// equals the positional per-access pairing); only overlapping or
-    /// cross-shape copies walk the exact access-interleaved loop.
+    /// equals the positional per-access pairing. Same-residue-class copies
+    /// are pure `copy_within` block moves over the shared plan's store
+    /// runs; other classes gather through the source segments and scatter
+    /// through the destination's. Overlapping and cross-shape copies run
+    /// the per-access loop itself.
     pub fn copy_region(&mut self, port: usize, src: &Region, dst: &Region) -> Result<()> {
         if port >= self.config.read_ports {
             return Err(PolyMemError::InvalidPort {
@@ -202,59 +206,32 @@ impl<T: Copy + Default> PolyMem<T> {
                 ports: self.config.read_ports,
             });
         }
-        if self.use_region_plan() {
+        src.check_bounds(self.config.rows, self.config.cols)?;
+        dst.check_bounds(self.config.rows, self.config.cols)?;
+        if self.use_region_plan() && src.shape == dst.shape && !src.overlaps(dst) {
             let sp = self.region_plan_traced(src)?;
             let dp = self.region_plan_traced(dst)?;
-            if sp.accesses != dp.accesses {
-                return Err(copy_shape_mismatch(src, sp.accesses, dst, dp.accesses));
-            }
-            sp.check_bounds(src, self.config.rows, self.config.cols)?;
-            dp.check_bounds(dst, self.config.rows, self.config.cols)?;
             let span = self
                 .trc
                 .as_ref()
                 .map(|tr| tr.writer.begin(tr.copy_replay, SpanId::NONE));
             let sbase = self.afn.address(src.i, src.j) as isize;
             let dbase = self.afn.address(dst.i, dst.j) as isize;
-            let overlap = src.overlaps(dst);
-            let elem = std::mem::size_of::<T>() as u64;
-            let (coalesced, strided);
-            if !overlap && Arc::ptr_eq(&sp, &dp) {
+            let elem = size_of::<T>();
+            let (coalesced, strided) = if Arc::ptr_eq(&sp, &dp) {
                 // Same residue class, disjoint: both regions touch
                 // congruent storage images, so the copy is one
                 // `copy_within` per store run.
                 sp.copy_store_runs_within(self.banks.flat_mut(), sbase, dbase);
-                coalesced = 2 * sp.len() as u64 * elem;
-                strided = 0;
-            } else if !overlap && src.shape == dst.shape {
+                ((2 * sp.len() * elem) as u64, 0)
+            } else {
                 let mut buf = vec![T::default(); sp.len()];
                 sp.gather_into(self.banks.flat(), sbase, &mut buf);
                 dp.scatter_from(self.banks.flat_mut(), dbase, &buf);
-                let (sc, ss) = byte_split::<T>(&sp);
-                let (dc, ds) = byte_split::<T>(&dp);
-                coalesced = sc + dc;
-                strided = ss + ds;
-            } else {
-                // Overlap or cross-shape: exact per-access interleaving
-                // through the access-major maps.
-                let lanes = self.config.lanes();
-                let sfb = sp.flat_base(sbase);
-                let dfb = dp.flat_base(dbase);
-                let mut buf = vec![T::default(); lanes];
-                let flat = self.banks.flat_mut();
-                for t in 0..sp.accesses {
-                    let sa = &sp.afold[t * lanes..(t + 1) * lanes];
-                    let da = &dp.afold[t * lanes..(t + 1) * lanes];
-                    for (b, &f) in buf.iter_mut().zip(sa) {
-                        *b = flat[(sfb + f) as usize];
-                    }
-                    for (&f, &v) in da.iter().zip(&buf) {
-                        flat[(dfb + f) as usize] = v;
-                    }
-                }
-                coalesced = 0;
-                strided = 2 * sp.len() as u64 * elem;
-            }
+                let (sc, ss) = sp.byte_split(elem);
+                let (dc, ds) = dp.byte_split(elem);
+                (sc + dc, ss + ds)
+            };
             if let (Some(tr), Some(s)) = (&self.trc, span) {
                 tr.writer.end(tr.copy_replay, s);
             }
@@ -336,18 +313,7 @@ impl<T: Copy + Default> PolyMem<T> {
     }
 }
 
-/// Coalesced/strided byte attribution of one plan replay: bytes moved by
-/// unit-stride block moves vs the chunked strided loop.
-#[inline]
-fn byte_split<T>(plan: &RegionPlan) -> (u64, u64) {
-    let elem = std::mem::size_of::<T>() as u64;
-    (
-        plan.contiguous_elems as u64 * elem,
-        (plan.len() - plan.contiguous_elems) as u64 * elem,
-    )
-}
-
-fn copy_shape_mismatch(src: &Region, n: usize, dst: &Region, m: usize) -> PolyMemError {
+pub(crate) fn copy_shape_mismatch(src: &Region, n: usize, dst: &Region, m: usize) -> PolyMemError {
     PolyMemError::InvalidGeometry {
         reason: format!(
             "copy_region: {} decomposes into {n} accesses but {} into {m}",

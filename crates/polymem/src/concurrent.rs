@@ -15,14 +15,14 @@
 //! the roadmap flagged.
 //!
 //! Region operations ([`ConcurrentPolyMem::read_region`] /
-//! [`ConcurrentPolyMem::write_region`]) replay compiled [`RegionPlan`]s
-//! through their *per-bank run tables*: every lock acquisition drains
-//! maximal constant-stride segments — `copy_from_slice` block moves when
-//! the intra-bank stride is 1, the fixed-width chunked strided loop
-//! otherwise — instead of one element per guard deref. Reads are
-//! two-phase: port threads shard the *banks* and gather each bank's share
-//! under one read lock into a disjoint stage slice, then a lock-free pass
-//! spreads the stage into canonical order.
+//! [`ConcurrentPolyMem::write_region`]) check the region's extents first,
+//! then replay a compiled [`RegionPlan`] bank by bank: its segments are
+//! grouped by bank, so every lock acquisition drains that bank's affine
+//! segments — `copy_from_slice` block moves when both strides are 1, the
+//! fixed-width chunked strided loop otherwise — instead of one element
+//! per guard deref. Reads are two-phase: port threads shard the *banks*
+//! and gather each bank's share under one read lock into a disjoint stage
+//! slice, then a lock-free pass spreads the stage into canonical order.
 //! [`ConcurrentPolyMem::copy_region`] fuses gather and scatter into one
 //! burst: when source and destination share a plan (same residue class,
 //! disjoint) each bank's segments move internally with `copy_within`
@@ -31,8 +31,8 @@
 //! sanctioned place a spawned thread takes a bank write lock (via
 //! [`scatter_range`](ConcurrentPolyMem), each writer owns exactly one
 //! bank, so writers never contend and never alias a read port's bank
-//! view mid-access). Overlapping regions fall back to the sequential
-//! access-interleaved order so results match [`crate::PolyMem::copy_region`].
+//! view mid-access). Overlapping and cross-shape copies run the
+//! per-access loop, so results match [`crate::PolyMem::copy_region`].
 //!
 //! Note: this façade keeps its per-bank `Vec` storage regardless of
 //! [`crate::BankLayout`] — the layout knob shapes the *flat* backing of
@@ -47,13 +47,14 @@
 
 use crate::addressing::AddressingFunction;
 use crate::agu::Agu;
+use crate::bulk::copy_shape_mismatch;
 use crate::config::PolyMemConfig;
 use crate::error::{PolyMemError, Result};
 use crate::maf::ModuleAssignment;
 use crate::plan::{AccessPlan, PlanCache, PlanCacheStats};
 use crate::region::Region;
 use crate::region_plan::{
-    gather_strided, scatter_strided, RegionPlan, RegionPlanCache, RegionPlanCacheStats,
+    copy_strided, RegionPlan, RegionPlanCache, RegionPlanCacheStats, Segment,
 };
 use crate::scheme::{AccessPattern, ParallelAccess};
 use crate::sync::{AtomicBool, Ordering, RwLock};
@@ -123,20 +124,11 @@ impl ConcTelemetry {
 
     /// Aggregate counters of a region scatter. Per-bank element counts are
     /// *not* added here — the bank-guard scopes that actually drain each
-    /// bank call [`Self::bank_batch`] (or [`Self::region_write_banks`] on
-    /// the interleaved path, which has no batched guards).
+    /// bank call [`Self::bank_batch`].
     fn region_write(&self, accesses: usize, len: usize) {
         self.writes.add(accesses as u64);
         self.elements_written.add(len as u64);
         self.conflicts_avoided.add((len - accesses) as u64);
-    }
-
-    /// Per-bank element adds for a region scatter that does not go through
-    /// batched bank guards (the overlap-interleaved copy path).
-    fn region_write_banks(&self, accesses: usize) {
-        for bank in &self.bank_elems {
-            bank.add(accesses as u64);
-        }
     }
 
     /// Count `n` elements drained into bank `b`. Called while the bank's
@@ -147,8 +139,8 @@ impl ConcTelemetry {
         self.bank_elems[b].add(n);
     }
 
-    /// Attribute one region replay's bytes to the coalesced (per-bank
-    /// block moves) vs strided (chunked loop) buckets.
+    /// Attribute one region replay's bytes to the coalesced vs strided
+    /// buckets ([`RegionPlan::byte_split`]).
     #[inline]
     fn region_bytes(&self, coalesced: u64, strided: u64) {
         self.region_coalesced_bytes.add(coalesced);
@@ -156,8 +148,6 @@ impl ConcTelemetry {
     }
 }
 
-/// Coalesced/strided byte attribution of one per-bank-locked replay: the
-/// share moved by `d_stride == 1` bank runs vs the chunked strided loop.
 /// Trace-journal handles for a [`ConcurrentPolyMem`] (attached via
 /// [`ConcurrentPolyMem::attach_tracing`]). The writer and every name are
 /// resolved at attach time, so recording is a handful of `Relaxed`/
@@ -180,7 +170,7 @@ struct ConcTracing {
     scatter: NameId,
     /// Span: same-residue-class `copy_within` fast path.
     copy_runs: NameId,
-    /// Span: overlapping-region access-interleaved slow path.
+    /// Span: the per-access loop of overlapping and cross-shape copies.
     copy_inter: NameId,
     /// Instant: region-plan cache hit.
     hit: NameId,
@@ -190,13 +180,18 @@ struct ConcTracing {
     acquire: NameId,
 }
 
+/// Bank-major flat offsets are `b * depth + delta`: the flat offset that
+/// lands on intra-bank address `base` of bank `b` is `base - b * depth`.
 #[inline]
-fn bank_byte_split<T>(plan: &RegionPlan) -> (u64, u64) {
-    let elem = std::mem::size_of::<T>() as u64;
-    (
-        plan.bank_contiguous_elems as u64 * elem,
-        (plan.len() - plan.bank_contiguous_elems) as u64 * elem,
-    )
+fn bank_origin(base: isize, b: usize, depth: usize) -> isize {
+    base - (b * depth) as isize
+}
+
+/// Start address and stride of segment `s` inside the bank whose
+/// [`bank_origin`] is `origin`.
+#[inline]
+fn in_bank(s: &Segment, origin: isize) -> (isize, isize) {
+    (origin + s.flat0, s.f_stride as isize)
 }
 
 /// A PolyMem whose ports can be driven from multiple threads through `&self`.
@@ -423,31 +418,31 @@ impl<T: Copy + Default + Send + Sync> ConcurrentPolyMem<T> {
     /// Parallel read through any read port; callable concurrently from many
     /// threads.
     pub fn read(&self, access: ParallelAccess) -> Result<Vec<T>> {
+        let mut out = vec![T::default(); self.config.lanes()];
+        self.read_into(access, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Self::read`] into a caller buffer of exactly `lanes` elements.
+    fn read_into(&self, access: ParallelAccess, out: &mut [T]) -> Result<()> {
         self.check_access(access)?;
         if self.planning() {
             self.agu.check_bounds(access)?;
             let plan = self.plan_for(access)?;
             let base = self.afn.address(access.i, access.j) as isize;
-            let mut out = Vec::with_capacity(plan.lanes());
-            for (&bank, &delta) in plan.banks.iter().zip(&plan.deltas) {
-                out.push(self.banks[bank as usize].read()[(base + delta) as usize]);
+            for (o, (&bank, &delta)) in out.iter_mut().zip(plan.banks.iter().zip(&plan.deltas)) {
+                *o = self.banks[bank as usize].read()[(base + delta) as usize];
             }
-            if let Some(t) = &self.tlm {
-                t.single_read(out.len());
+        } else {
+            for (o, (i, j)) in out.iter_mut().zip(self.agu.expand(access)?) {
+                let bank = self.maf.assign_linear(i, j);
+                *o = self.banks[bank].read()[self.afn.address(i, j)];
             }
-            return Ok(out);
-        }
-        let coords = self.agu.expand(access)?;
-        let mut out = Vec::with_capacity(coords.len());
-        for (i, j) in coords {
-            let bank = self.maf.assign_linear(i, j);
-            let addr = self.afn.address(i, j);
-            out.push(self.banks[bank].read()[addr]);
         }
         if let Some(t) = &self.tlm {
             t.single_read(out.len());
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Parallel write through the write port; callable concurrently with
@@ -486,18 +481,18 @@ impl<T: Copy + Default + Send + Sync> ConcurrentPolyMem<T> {
     }
 
     /// Read a whole region in canonical element order. Two-phase
-    /// run-coalesced replay: port threads shard the *banks* (each port
-    /// drains a contiguous band of banks, one read lock per bank, moving
-    /// that bank's run segments into a disjoint slice of a bank-major
-    /// stage), then a lock-free pass spreads the stage into canonical
-    /// order through the same run table. Small regions run both phases
-    /// inline — thread launch would dominate.
+    /// segment replay: port threads shard the *banks* (each port drains a
+    /// contiguous band of banks, one read lock per bank, moving that
+    /// bank's segments into a disjoint slice of a bank-major stage), then
+    /// a lock-free pass spreads the stage into canonical order through the
+    /// same segments. Small regions run both phases inline — thread
+    /// launch would dominate.
     pub fn read_region(&self, region: &Region) -> Result<Vec<T>> {
+        region.check_bounds(self.config.rows, self.config.cols)?;
         let plan = self.region_plan_traced(region)?;
-        plan.check_bounds(region, self.config.rows, self.config.cols)?;
         if let Some(t) = &self.tlm {
             t.region_read(plan.accesses, plan.len());
-            let (c, s) = bank_byte_split::<T>(&plan);
+            let (c, s) = plan.byte_split(size_of::<T>());
             t.region_bytes(c, s);
         }
         let base = self.afn.address(region.i, region.j) as isize;
@@ -548,58 +543,42 @@ impl<T: Copy + Default + Send + Sync> ConcurrentPolyMem<T> {
         Ok(out)
     }
 
-    /// Gather bank `b`'s share of a region (in `bank_elems` order) into
-    /// `out` under a single bank read lock: one `copy_from_slice` per
-    /// unit-stride run segment, the chunked strided loop otherwise.
+    /// Gather bank `b`'s share of a region (in segment order) into `out`
+    /// under a single bank read lock.
     fn gather_range(&self, plan: &RegionPlan, base: isize, b: usize, out: &mut [T]) {
-        let lo = plan.bank_run_index[b] as usize;
-        let hi = plan.bank_run_index[b + 1] as usize;
         if let Some(tr) = &self.trc {
             // Recorded *before* the guard acquisition, never under it.
             tr.writer.instant(tr.acquire);
         }
         let guard = self.banks[b].read();
         let bank = guard.as_slice();
-        let mut pos = 0usize;
-        for run in &plan.bank_runs[lo..hi] {
-            let len = run.len as usize;
-            let a0 = base + run.d0;
-            let dst = &mut out[pos..pos + len];
-            if run.d_stride == 1 {
-                dst.copy_from_slice(&bank[a0 as usize..a0 as usize + len]);
-            } else {
-                gather_strided(bank, a0, run.d_stride, dst);
-            }
-            pos += len;
+        let origin = bank_origin(base, b, bank.len());
+        let mut pos = 0isize;
+        for s in plan.bank_segments(b) {
+            copy_strided(bank, in_bank(s, origin), out, (pos, 1), s.len as usize);
+            pos += s.len as isize;
         }
     }
 
-    /// Spread bank `b`'s staged elements (gathered in `bank_elems` order)
-    /// into their canonical positions of `out`. Pure memory traffic — no
-    /// lock is held or taken.
+    /// Spread bank `b`'s staged elements (gathered in segment order) into
+    /// their canonical positions of `out`. Pure memory traffic — no lock
+    /// is held or taken.
     fn spread_range(&self, plan: &RegionPlan, b: usize, stage: &[T], out: &mut [T]) {
-        let lo = plan.bank_run_index[b] as usize;
-        let hi = plan.bank_run_index[b + 1] as usize;
-        let mut pos = 0usize;
-        for run in &plan.bank_runs[lo..hi] {
-            let len = run.len as usize;
-            let src = &stage[pos..pos + len];
-            let c0 = run.c0 as usize;
-            if run.c_stride == 1 {
-                out[c0..c0 + len].copy_from_slice(src);
-            } else {
-                scatter_strided(out, c0 as isize, run.c_stride as isize, src);
-            }
-            pos += len;
+        let mut pos = 0isize;
+        for s in plan.bank_segments(b) {
+            let canonical = (s.c0 as isize, s.c_stride as isize);
+            copy_strided(stage, (pos, 1), out, canonical, s.len as usize);
+            pos += s.len as isize;
         }
     }
 
     /// Write a whole region (values in canonical order), taking each bank
-    /// lock exactly once and draining that bank's run segments in a batch —
+    /// lock exactly once and draining that bank's segments in a batch —
     /// `p*q` lock acquisitions per region instead of one per element, and
     /// block moves instead of element stores wherever a segment is
     /// unit-stride on both sides.
     pub fn write_region(&self, region: &Region, values: &[T]) -> Result<()> {
+        region.check_bounds(self.config.rows, self.config.cols)?;
         if values.len() != region.len() {
             return Err(PolyMemError::WrongLaneCount {
                 got: values.len(),
@@ -607,10 +586,9 @@ impl<T: Copy + Default + Send + Sync> ConcurrentPolyMem<T> {
             });
         }
         let plan = self.region_plan_traced(region)?;
-        plan.check_bounds(region, self.config.rows, self.config.cols)?;
         if let Some(t) = &self.tlm {
             t.region_write(plan.accesses, plan.len());
-            let (c, s) = bank_byte_split::<T>(&plan);
+            let (c, s) = plan.byte_split(size_of::<T>());
             t.region_bytes(c, s);
         }
         let base = self.afn.address(region.i, region.j) as isize;
@@ -636,48 +614,35 @@ impl<T: Copy + Default + Send + Sync> ConcurrentPolyMem<T> {
 
     /// Copy `src` into `dst` as one fused operation. Disjoint regions that
     /// share a plan (same residue class) never leave their banks: each
-    /// bank's run segments move internally with `copy_within` under a
-    /// single write guard. Other disjoint copies stage a port-sharded
-    /// run-coalesced gather, spread it to canonical order, then issue one
-    /// merged write per destination bank. `scratch` is reused across calls
-    /// so steady-state bursts are allocation-free. Overlapping regions
-    /// take the access-interleaved slow path, which matches the sequential
-    /// [`crate::PolyMem::copy_region`] element for element.
+    /// bank's segments move internally with `copy_within` under a single
+    /// write guard. Other disjoint same-shape copies stage a port-sharded
+    /// segment gather, spread it to canonical order, then issue one merged
+    /// write per destination bank. `scratch` is reused across calls so
+    /// steady-state bursts are allocation-free. Overlapping and
+    /// cross-shape copies run the per-access loop, which is the
+    /// sequential [`crate::PolyMem::copy_region`]'s semantics element for
+    /// element.
     pub fn copy_region_with(&self, src: &Region, dst: &Region, scratch: &mut Vec<T>) -> Result<()> {
+        src.check_bounds(self.config.rows, self.config.cols)?;
+        dst.check_bounds(self.config.rows, self.config.cols)?;
+        if src.shape != dst.shape || src.overlaps(dst) {
+            let span = self
+                .trc
+                .as_ref()
+                .map(|tr| tr.writer.begin(tr.copy_inter, SpanId::NONE));
+            let res = self.copy_per_access(src, dst, scratch);
+            if let (Some(tr), Some(s)) = (&self.trc, span) {
+                tr.writer.end(tr.copy_inter, s);
+            }
+            return res;
+        }
         let sp = self.region_plan_traced(src)?;
         let dp = self.region_plan_traced(dst)?;
-        if sp.accesses != dp.accesses {
-            return Err(PolyMemError::InvalidGeometry {
-                reason: format!(
-                    "copy_region: {} decomposes into {} accesses but {} into {}",
-                    src.name, sp.accesses, dst.name, dp.accesses
-                ),
-            });
-        }
-        sp.check_bounds(src, self.config.rows, self.config.cols)?;
-        dp.check_bounds(dst, self.config.rows, self.config.cols)?;
         let sbase = self.afn.address(src.i, src.j) as isize;
         let dbase = self.afn.address(dst.i, dst.j) as isize;
         if let Some(t) = &self.tlm {
             t.region_read(sp.accesses, sp.len());
             t.region_write(dp.accesses, dp.len());
-        }
-        if regions_overlap(src, dst) {
-            if let Some(t) = &self.tlm {
-                // No batched bank guards on this path: count the scatter's
-                // per-bank elements here (each access hits each bank once).
-                t.region_write_banks(dp.accesses);
-                t.region_bytes(0, 2 * sp.len() as u64 * std::mem::size_of::<T>() as u64);
-            }
-            let span = self
-                .trc
-                .as_ref()
-                .map(|tr| tr.writer.begin(tr.copy_inter, SpanId::NONE));
-            let res = self.copy_interleaved(&sp, sbase, &dp, dbase, scratch);
-            if let (Some(tr), Some(s)) = (&self.trc, span) {
-                tr.writer.end(tr.copy_inter, s);
-            }
-            return res;
         }
         let len = sp.len();
         if len == 0 {
@@ -685,7 +650,7 @@ impl<T: Copy + Default + Send + Sync> ConcurrentPolyMem<T> {
         }
         if Arc::ptr_eq(&sp, &dp) {
             if let Some(t) = &self.tlm {
-                let (c, s) = bank_byte_split::<T>(&sp);
+                let (c, s) = sp.byte_split(size_of::<T>());
                 t.region_bytes(2 * c, 2 * s);
             }
             let span = self
@@ -699,8 +664,8 @@ impl<T: Copy + Default + Send + Sync> ConcurrentPolyMem<T> {
             return Ok(());
         }
         if let Some(t) = &self.tlm {
-            let (sc, ss) = bank_byte_split::<T>(&sp);
-            let (dc, ds) = bank_byte_split::<T>(&dp);
+            let (sc, ss) = sp.byte_split(size_of::<T>());
+            let (dc, ds) = dp.byte_split(size_of::<T>());
             t.region_bytes(sc + dc, ss + ds);
         }
         let accesses = sp.accesses;
@@ -772,15 +737,10 @@ impl<T: Copy + Default + Send + Sync> ConcurrentPolyMem<T> {
     }
 
     /// Write bank `b`'s share of a region in one batch: a single bank
-    /// write-lock acquisition draining the bank's run segments out of
-    /// `values` (canonical order) — a `copy_from_slice` when a segment is
-    /// unit-stride on both sides, the chunked strided loop when one side
-    /// strides, a scalar loop for the rare dual-strided segment. Each
-    /// spawned burst writer owns exactly one bank, so writers are mutually
-    /// disjoint by construction.
+    /// write-lock acquisition draining the bank's segments out of `values`
+    /// (canonical order). Each spawned burst writer owns exactly one bank,
+    /// so writers are mutually disjoint by construction.
     fn scatter_range(&self, plan: &RegionPlan, base: isize, b: usize, values: &[T]) {
-        let lo = plan.bank_run_index[b] as usize;
-        let hi = plan.bank_run_index[b + 1] as usize;
         let mut drained = 0u64;
         if let Some(tr) = &self.trc {
             // Recorded *before* the guard acquisition, never under it.
@@ -788,38 +748,18 @@ impl<T: Copy + Default + Send + Sync> ConcurrentPolyMem<T> {
         }
         let mut guard = self.banks[b].write();
         let bank = guard.as_mut_slice();
-        for run in &plan.bank_runs[lo..hi] {
-            let len = run.len as usize;
-            let c0 = run.c0 as usize;
-            let a0 = base + run.d0;
-            if run.c_stride == 1 {
-                let src = &values[c0..c0 + len];
-                if run.d_stride == 1 {
-                    bank[a0 as usize..a0 as usize + len].copy_from_slice(src);
-                } else {
-                    scatter_strided(bank, a0, run.d_stride, src);
-                }
-            } else if run.d_stride == 1 {
-                gather_strided(
-                    values,
-                    c0 as isize,
-                    run.c_stride as isize,
-                    &mut bank[a0 as usize..a0 as usize + len],
-                );
-            } else {
-                for t in 0..len {
-                    bank[(a0 + t as isize * run.d_stride) as usize] =
-                        values[c0 + t * run.c_stride as usize];
-                }
-            }
-            drained += run.len as u64;
+        let origin = bank_origin(base, b, bank.len());
+        for s in plan.bank_segments(b) {
+            let canonical = (s.c0 as isize, s.c_stride as isize);
+            copy_strided(values, canonical, bank, in_bank(s, origin), s.len as usize);
+            drained += s.len as u64;
         }
         if let Some(t) = &self.tlm {
             t.bank_batch(b, drained);
         }
     }
 
-    /// Same-plan disjoint copy: per bank, one write guard, then every run
+    /// Same-plan disjoint copy: per bank, one write guard, then every
     /// segment moves *within* the bank — `copy_within` when the intra-bank
     /// stride is 1, a strided self-copy otherwise (source and destination
     /// address sets are disjoint, so iteration order cannot alias). Serial
@@ -827,24 +767,25 @@ impl<T: Copy + Default + Send + Sync> ConcurrentPolyMem<T> {
     /// [`Self::scatter_range`].
     fn copy_bank_runs(&self, plan: &RegionPlan, sbase: isize, dbase: isize) {
         for b in 0..plan.lanes {
-            let lo = plan.bank_run_index[b] as usize;
-            let hi = plan.bank_run_index[b + 1] as usize;
             let mut drained = 0u64;
             let mut guard = self.banks[b].write();
             let bank = guard.as_mut_slice();
-            for run in &plan.bank_runs[lo..hi] {
-                let len = run.len as usize;
-                let s0 = sbase + run.d0;
-                let d0 = dbase + run.d0;
-                if run.d_stride == 1 {
+            let (sorigin, dorigin) = (
+                bank_origin(sbase, b, bank.len()),
+                bank_origin(dbase, b, bank.len()),
+            );
+            for seg in plan.bank_segments(b) {
+                let len = seg.len as usize;
+                let (s0, stride) = in_bank(seg, sorigin);
+                let (d0, _) = in_bank(seg, dorigin);
+                if stride == 1 {
                     bank.copy_within(s0 as usize..s0 as usize + len, d0 as usize);
                 } else {
-                    for t in 0..len {
-                        let off = t as isize * run.d_stride;
-                        bank[(d0 + off) as usize] = bank[(s0 + off) as usize];
+                    for t in 0..len as isize {
+                        bank[(d0 + t * stride) as usize] = bank[(s0 + t * stride) as usize];
                     }
                 }
-                drained += run.len as u64;
+                drained += seg.len as u64;
             }
             if let Some(t) = &self.tlm {
                 t.bank_batch(b, drained);
@@ -852,32 +793,21 @@ impl<T: Copy + Default + Send + Sync> ConcurrentPolyMem<T> {
         }
     }
 
-    /// Access-interleaved copy for overlapping regions: gather lanes of
-    /// source access `t`, scatter them to destination access `t`, in access
-    /// order — positionally identical to the sequential per-access loop.
-    fn copy_interleaved(
-        &self,
-        sp: &RegionPlan,
-        sbase: isize,
-        dp: &RegionPlan,
-        dbase: isize,
-        scratch: &mut Vec<T>,
-    ) -> Result<()> {
-        let lanes = sp.lanes;
-        let depth = self.config.bank_depth() as isize;
+    /// The per-access copy loop: read source access `t`, write it to
+    /// destination access `t`, in access order — lane `k` lands in lane
+    /// `k`, exactly like the sequential per-access path.
+    fn copy_per_access(&self, src: &Region, dst: &Region, scratch: &mut Vec<T>) -> Result<()> {
+        let (p, q) = (self.config.p, self.config.q);
+        let src_acc = src.plan_accesses(p, q)?;
+        let dst_acc = dst.plan_accesses(p, q)?;
+        if src_acc.len() != dst_acc.len() {
+            return Err(copy_shape_mismatch(src, src_acc.len(), dst, dst_acc.len()));
+        }
         scratch.clear();
-        scratch.resize(lanes, T::default());
-        for t in 0..sp.accesses {
-            let sa = &sp.afold[t * lanes..(t + 1) * lanes];
-            for (o, &f) in scratch.iter_mut().zip(sa) {
-                let flat = sbase + f;
-                *o = self.banks[(flat / depth) as usize].read()[(flat % depth) as usize];
-            }
-            let da = &dp.afold[t * lanes..(t + 1) * lanes];
-            for (&f, &v) in da.iter().zip(scratch.iter()) {
-                let flat = dbase + f;
-                self.banks[(flat / depth) as usize].write()[(flat % depth) as usize] = v;
-            }
+        scratch.resize(self.config.lanes(), T::default());
+        for (s, d) in src_acc.iter().zip(&dst_acc) {
+            self.read_into(*s, scratch)?;
+            self.write(*d, scratch)?;
         }
         Ok(())
     }
@@ -933,12 +863,6 @@ impl<T: Copy + Default + Send + Sync> ConcurrentPolyMem<T> {
         let bank = self.maf.assign_linear(i, j);
         Ok(self.banks[bank].read()[self.afn.address(i, j)])
     }
-}
-
-/// Conservative bounding-box overlap test (see [`Region::overlaps`]): a
-/// false positive only costs the interleaved slow path, never correctness.
-fn regions_overlap(a: &Region, b: &Region) -> bool {
-    a.overlaps(b)
 }
 
 #[cfg(test)]

@@ -8,9 +8,9 @@
 //! or persist it for replay — and it gives the repository a
 //! forward-compatible wire format exercised by round-trip tests.
 //!
-//! Both directions ride the run-coalesced whole-space replay:
+//! Both directions ride the whole-space segment replay:
 //! [`PolyMem::dump_row_major`] gathers and [`PolyMem::load_row_major`]
-//! scatters through the compiled whole-region plan's run table (block
+//! scatters through the compiled whole-region plan's segments (block
 //! moves for unit-stride segments), so imaging cost tracks memcpy rather
 //! than a per-element loop. The payload is row-major *logical* order —
 //! deliberately independent of the flat [`BankLayout`], so an image taken

@@ -628,7 +628,7 @@ impl<T: Copy + Default> PolyMem<T> {
     /// `rows * cols` elements (the paper's DSE validation fill).
     ///
     /// With region planning on this replays the whole-space region plan —
-    /// one run-coalesced scatter instead of `rows * cols` MAF/addressing
+    /// one segment scatter instead of `rows * cols` MAF/addressing
     /// evaluations — and leaves that plan cached for
     /// [`Self::dump_row_major`] and scheme conversions.
     pub fn load_row_major(&mut self, data: &[T]) -> Result<()> {
@@ -657,7 +657,7 @@ impl<T: Copy + Default> PolyMem<T> {
 
     /// Dump the whole logical space to a row-major `Vec`.
     ///
-    /// Replays the cached whole-space region plan (run-coalesced gather)
+    /// Replays the cached whole-space region plan (segment gather)
     /// when one exists — [`Self::load_row_major`] leaves it resident — and
     /// otherwise walks the interpreted per-element path, so the method
     /// stays `&self`.

@@ -154,9 +154,13 @@ impl Region {
         }
     }
 
-    /// Whether the region is empty.
+    /// Whether the region is empty (decided per dimension, so an oversize
+    /// block cannot overflow the element count).
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        match self.shape {
+            RegionShape::Block { rows, cols } => rows == 0 || cols == 0,
+            _ => self.len() == 0,
+        }
     }
 
     /// Check that every element has a representable coordinate. The only
@@ -330,9 +334,37 @@ impl Region {
         }
     }
 
+    /// Check the region against a `rows x cols` space, from its
+    /// [`Self::extents`] with checked arithmetic, so oversize shapes and
+    /// origins near `usize::MAX` report [`PolyMemError::OutOfBounds`]
+    /// (naming the first offending coordinate, saturated to `i64::MAX`)
+    /// instead of wrapping. Empty regions are in bounds anywhere: no access
+    /// is issued for them. Both façades run this before any plan lookup or
+    /// allocation sized by the region.
+    pub fn check_bounds(&self, rows: usize, cols: usize) -> Result<()> {
+        if self.is_empty() {
+            return Ok(());
+        }
+        let (down, right, left) = self.extents();
+        let coord = |x: Option<usize>| x.and_then(|v| i64::try_from(v).ok()).unwrap_or(i64::MAX);
+        let oob = |i: i64, j: i64| Err(PolyMemError::OutOfBounds { i, j, rows, cols });
+        let last_i = self.i.checked_add(down);
+        if !matches!(last_i, Some(i) if i < rows) {
+            return oob(coord(last_i), coord(Some(self.j)));
+        }
+        let last_j = self.j.checked_add(right);
+        if !matches!(last_j, Some(j) if j < cols) {
+            return oob(coord(Some(self.i)), coord(last_j));
+        }
+        if self.j < left {
+            return oob(coord(last_i), coord(Some(self.j)) - left as i64);
+        }
+        Ok(())
+    }
+
     /// Conservative bounding-box overlap test (via [`Self::extents`]): may
     /// report overlap for disjoint diagonal strips whose boxes intersect. A
-    /// false positive only steers copies onto the exact interleaved path,
+    /// false positive only steers copies onto the exact per-access loop,
     /// never breaking correctness.
     pub fn overlaps(&self, other: &Region) -> bool {
         let (ad, ar, al) = self.extents();
@@ -489,6 +521,41 @@ mod tests {
             assert_eq!(r.i + down, max_i, "{}", r.name);
             assert_eq!(r.j + right, max_j, "{}", r.name);
             assert_eq!(r.j - left, min_j, "{}", r.name);
+        }
+    }
+
+    #[test]
+    fn check_bounds_is_overflow_free() {
+        let huge = [
+            RegionShape::Row { len: 1 << 40 },
+            RegionShape::Block {
+                rows: 1 << 16,
+                cols: 1 << 16,
+            },
+            RegionShape::Block {
+                rows: usize::MAX,
+                cols: usize::MAX,
+            },
+            RegionShape::MainDiag { len: usize::MAX },
+        ];
+        for shape in huge {
+            for (i, j) in [(0, 0), (usize::MAX - 1, 0), (0, usize::MAX - 1)] {
+                assert!(
+                    matches!(
+                        Region::new("h", i, j, shape).check_bounds(16, 16),
+                        Err(PolyMemError::OutOfBounds { .. })
+                    ),
+                    "{shape:?} at ({i}, {j})"
+                );
+            }
+        }
+        assert!(
+            Region::new("h", usize::MAX, usize::MAX, RegionShape::Row { len: 0 })
+                .check_bounds(16, 16)
+                .is_ok()
+        );
+        for r in fig2_regions() {
+            assert!(r.check_bounds(64, 64).is_ok(), "{}", r.name);
         }
     }
 

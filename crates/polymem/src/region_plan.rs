@@ -1,11 +1,9 @@
-//! Compiled region plans: whole-region transfers as one flat gather/scatter.
+//! Compiled region plans: whole-region transfers as one affine segment list.
 //!
 //! [`crate::plan`] made single parallel accesses cheap (per-residue-class
 //! routing compiled once). Real workloads move [`Region`]s — many accesses
-//! plus a canonical-order permutation — and the naive bulk path still paid a
-//! per-access plan lookup, a per-access `Vec`, and a coordinate `HashMap`
-//! rebuilt per call. A [`RegionPlan`] compiles all of that once per
-//! *(region shape, origin residue class)*:
+//! plus a canonical-order permutation. A [`RegionPlan`] compiles all of
+//! that once per *(region shape, origin residue class)*:
 //!
 //! * the access decomposition ([`Region::plan_accesses`]) is shape+residue
 //!   periodic: access origins sit at fixed offsets from the region origin
@@ -14,15 +12,20 @@
 //!   the single-access plan, lifted to whole regions);
 //! * each access's per-lane routing comes from the existing
 //!   [`PlanCache`] (crossbar-verified at compile);
-//! * the canonical-order permutation is folded in at compile time via
-//!   [`Region::canonical_index`] (closed form, no `HashMap`): `fold[c]` is
-//!   the flat-storage offset of canonical element `c` relative to
+//! * every lane lands on its canonical element `c` through the closed-form
+//!   [`Region::canonical_index`], at a flat-storage offset relative to
 //!   `A(origin)`.
 //!
-//! Replaying a plan is then a bounds check plus a single loop:
-//! `out[c] = flat[(A(origin) + fold[c]) as usize]` — no per-access
-//! expansion, no reorder buffer. [`RegionPlanCache`] memoises plans with
-//! hit/miss/bytes counters, mirroring [`PlanCache`].
+//! Those `(c, flat)` pairs are put in the layout's native order — `(bank,
+//! c)` under [`BankLayout::BankMajor`], `c` under
+//! [`BankLayout::AddrInterleaved`] — and cut greedily into maximal affine
+//! [`Segment`]s. The segment list is the plan's only per-element
+//! structure: every gather, scatter and copy of [`crate::PolyMem`] and
+//! [`crate::ConcurrentPolyMem`] walks it, and the per-element view
+//! ([`RegionPlan::elements`]) is derived from it. Under `BankMajor` each
+//! segment lies in one bank, and a `lanes + 1`-entry index hands each bank
+//! its segment range for per-bank-locked replay. [`RegionPlanCache`]
+//! memoises plans with hit/miss/bytes counters, mirroring [`PlanCache`].
 
 use crate::addressing::AddressingFunction;
 use crate::agu::Agu;
@@ -38,74 +41,121 @@ use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
-/// Fixed width of the strided-replay inner loop. Runs whose stride is not
-/// 1 are replayed in chunks of this many elements with a fully unrolled
-/// body of independent loads/stores — a shape LLVM's autovectorizer turns
-/// into gather/scatter vector code on every release target we build. The
-/// `chunk_shape` golden test pins the decomposition so the loop shape
-/// cannot silently drift back to one-element-at-a-time.
+/// Fixed width of the strided-replay inner loop. Segments that are not
+/// unit-stride on both sides are replayed in chunks of this many elements
+/// with a fully unrolled body of independent loads/stores — a shape LLVM's
+/// autovectorizer turns into gather/scatter vector code on every release
+/// target we build. The `chunk_shape` golden test pins the decomposition
+/// so the loop shape cannot silently drift back to one-element-at-a-time.
 pub const STRIDE_CHUNK: usize = 4;
 
-/// How a strided run of `len` elements decomposes into the fixed-width
+/// How a strided segment of `len` elements decomposes into the fixed-width
 /// replay loop: `(full_chunks, tail_elems)`.
 #[inline]
 pub const fn chunk_shape(len: usize) -> (usize, usize) {
     (len / STRIDE_CHUNK, len % STRIDE_CHUNK)
 }
 
-/// Strided gather inner loop: `out[t] = flat[src0 + t * stride]`,
-/// executed as [`STRIDE_CHUNK`]-wide chunks with an unrolled body of
-/// independent loads (the autovectorizable shape) plus a scalar tail.
-#[inline]
-pub(crate) fn gather_strided<T: Copy>(flat: &[T], src0: isize, stride: isize, out: &mut [T]) {
+/// Strided gather inner loop: `out[t] = src[s0 + t * ss]`, executed as
+/// [`STRIDE_CHUNK`]-wide chunks with an unrolled body of independent loads
+/// (the autovectorizable shape) plus a scalar tail.
+#[inline(always)]
+fn gather_strided<T: Copy>(src: &[T], s0: isize, ss: isize, out: &mut [T]) {
     let (chunks, _tail) = chunk_shape(out.len());
-    let mut src = src0;
-    let step = stride * STRIDE_CHUNK as isize;
+    let mut s = s0;
     for chunk in out.chunks_exact_mut(STRIDE_CHUNK) {
-        chunk[0] = flat[src as usize];
-        chunk[1] = flat[(src + stride) as usize];
-        chunk[2] = flat[(src + 2 * stride) as usize];
-        chunk[3] = flat[(src + 3 * stride) as usize];
-        src += step;
+        chunk[0] = src[s as usize];
+        chunk[1] = src[(s + ss) as usize];
+        chunk[2] = src[(s + 2 * ss) as usize];
+        chunk[3] = src[(s + 3 * ss) as usize];
+        s += STRIDE_CHUNK as isize * ss;
     }
     for (t, o) in out[chunks * STRIDE_CHUNK..].iter_mut().enumerate() {
-        *o = flat[(src + t as isize * stride) as usize];
+        *o = src[(s + t as isize * ss) as usize];
     }
 }
 
 /// Strided scatter inner loop: the write mirror of [`gather_strided`].
-#[inline]
-pub(crate) fn scatter_strided<T: Copy>(flat: &mut [T], dst0: isize, stride: isize, values: &[T]) {
+#[inline(always)]
+fn scatter_strided<T: Copy>(dst: &mut [T], d0: isize, ds: isize, values: &[T]) {
     let (chunks, _tail) = chunk_shape(values.len());
-    let mut dst = dst0;
-    let step = stride * STRIDE_CHUNK as isize;
+    let mut d = d0;
     for chunk in values.chunks_exact(STRIDE_CHUNK) {
-        flat[dst as usize] = chunk[0];
-        flat[(dst + stride) as usize] = chunk[1];
-        flat[(dst + 2 * stride) as usize] = chunk[2];
-        flat[(dst + 3 * stride) as usize] = chunk[3];
-        dst += step;
+        dst[d as usize] = chunk[0];
+        dst[(d + ds) as usize] = chunk[1];
+        dst[(d + 2 * ds) as usize] = chunk[2];
+        dst[(d + 3 * ds) as usize] = chunk[3];
+        d += STRIDE_CHUNK as isize * ds;
     }
     for (t, &v) in values[chunks * STRIDE_CHUNK..].iter().enumerate() {
-        flat[(dst + t as isize * stride) as usize] = v;
+        dst[(d + t as isize * ds) as usize] = v;
     }
 }
 
-/// One maximal constant-stride segment of the canonical gather map: for
-/// `i < len`, `fold[start + i] == offset + i * stride`. `stride == 1`
-/// segments replay as a single `copy_from_slice` block move; all others
-/// as the fixed-width chunked strided loop.
+/// The one replay kernel: `dst[d0 + t * ds] = src[s0 + t * ss]` for
+/// `t < len`. Unit strides on both sides are a single block move; a unit
+/// stride on one side runs the chunked loop over that side's contiguous
+/// slice; two strided sides run a plain element loop.
+///
+/// This and both chunked loops are forced inline: replays call them once
+/// per segment, and segments are often short (a 64-element column under
+/// `AddrInterleaved` is 32 two-element segments), so a call per segment
+/// would cost more than the move.
+#[inline(always)]
+pub(crate) fn copy_strided<T: Copy>(
+    src: &[T],
+    (s0, ss): (isize, isize),
+    dst: &mut [T],
+    (d0, ds): (isize, isize),
+    len: usize,
+) {
+    if ds == 1 {
+        let out = &mut dst[d0 as usize..d0 as usize + len];
+        if ss == 1 {
+            out.copy_from_slice(&src[s0 as usize..s0 as usize + len]);
+        } else {
+            gather_strided(src, s0, ss, out);
+        }
+    } else if ss == 1 {
+        scatter_strided(dst, d0, ds, &src[s0 as usize..s0 as usize + len]);
+    } else {
+        for t in 0..len as isize {
+            dst[(d0 + t * ds) as usize] = src[(s0 + t * ss) as usize];
+        }
+    }
+}
+
+/// One maximal affine segment of a region plan: for `t < len`, canonical
+/// element `c0 + t * c_stride` lives at flat offset `flat0 + t * f_stride`
+/// from the scaled region origin. A lone element is the degenerate
+/// `len == 1` segment with both strides 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RegionRun {
-    /// First canonical element of the run.
-    pub start: u32,
+pub struct Segment {
+    /// Flat offset of the first element, relative to the scaled origin.
+    pub flat0: isize,
+    /// First canonical element.
+    pub c0: u32,
     /// Elements covered (>= 1).
     pub len: u32,
-    /// Flat-storage offset of the first element, relative to the base.
-    pub offset: isize,
-    /// Flat-slot distance between consecutive elements (1 for a
-    /// degenerate single-element run).
-    pub stride: isize,
+    /// Canonical-index distance between consecutive elements (segments
+    /// follow ascending canonical order, so this is positive).
+    pub c_stride: u32,
+    /// Flat-slot distance between consecutive elements. Steps that do not
+    /// fit an `i32` end the segment.
+    pub f_stride: i32,
+}
+
+impl Segment {
+    /// The segment's `(c, flat)` pairs in replay order.
+    #[inline]
+    pub fn elements(self) -> impl Iterator<Item = (usize, isize)> {
+        (0..self.len as usize).map(move |t| {
+            (
+                self.c0 as usize + t * self.c_stride as usize,
+                self.flat0 + t as isize * self.f_stride as isize,
+            )
+        })
+    }
 }
 
 /// One maximal unit-stride interval of the *sorted* storage image: the
@@ -118,27 +168,6 @@ pub struct StoreRun {
     pub offset: isize,
     /// Contiguous flat slots covered (>= 1).
     pub len: u32,
-}
-
-/// One maximal dual-constant-stride segment of a bank's element list
-/// (bank-major view, independent of the flat layout): for `t < len`, the
-/// segment covers canonical element `c0 + t * c_stride` at intra-bank
-/// address delta `d0 + t * d_stride`. Lets per-bank-locked replay move a
-/// whole segment under one guard, as a block move when both strides are 1
-/// and as the chunked strided loop otherwise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BankRun {
-    /// First canonical element of the segment.
-    pub c0: u32,
-    /// Elements covered (>= 1).
-    pub len: u32,
-    /// Intra-bank address delta of the first element.
-    pub d0: isize,
-    /// Canonical-index distance between consecutive elements (bank
-    /// element lists ascend, so this is positive).
-    pub c_stride: u32,
-    /// Intra-bank address distance between consecutive elements.
-    pub d_stride: isize,
 }
 
 /// One cached plan plus its recency stamp. The stamp is atomic so shared
@@ -185,107 +214,84 @@ impl RegionPlanKey {
     }
 }
 
-/// A compiled region transfer: every index a `read_region`/`write_region`/
-/// `copy_region` needs, in flat precomputed arrays.
+/// A compiled region transfer: the segment list every
+/// `read_region`/`write_region`/`copy_region` replays.
 ///
-/// All offsets are relative to `A(i0, j0)` of the *region origin*; a replay
-/// computes that one address and gathers/scatters through [`Self::fold`].
+/// All flat offsets are relative to `A(i0, j0) * layout.base_scale` of the
+/// *region origin*; a replay computes that one address and walks
+/// [`Self::segments`]. Callers bounds-check the concrete region
+/// ([`Region::check_bounds`]) before looking the plan up.
 #[derive(Debug, Clone)]
 pub struct RegionPlan {
     /// The shape this plan serves (for diagnostics).
     pub shape: RegionShape,
-    /// The flat backing layout `fold`/`afold` were compiled against. All
-    /// flat offsets below are relative to `A(origin) * layout.base_scale`.
+    /// The flat backing layout the segments were compiled against; it
+    /// also fixes their order (bank-major or canonical).
     pub layout: BankLayout,
-    /// Per canonical element `c`: flat storage offset
-    /// (`layout.fold(bank, addr_delta)`) relative to the scaled origin
-    /// address. The gather map of reads and, read right-to-left, the
-    /// scatter map of writes.
-    pub fold: Vec<isize>,
-    /// Per canonical element: owning bank (for per-bank-locked storage that
-    /// has no flat view, i.e. [`crate::concurrent::ConcurrentPolyMem`]).
-    pub banks: Vec<u32>,
-    /// Per canonical element: signed intra-bank address delta relative to
-    /// `A(origin)` (companion of [`Self::banks`]).
-    pub deltas: Vec<isize>,
-    /// Access-major mirror of [`Self::fold`]: slot `a * lanes + k` is the
-    /// flat offset of lane `k` of access `a`, in AGU lane order. `copy_region`
-    /// pairs source and destination slots positionally through this, which
-    /// preserves the per-access interleaved overlap semantics of the naive
-    /// read-one-access/write-one-access loop.
-    pub afold: Vec<isize>,
-    /// Canonical element indices grouped by bank: bank `b` owns
-    /// `bank_elems[b * accesses .. (b + 1) * accesses]` (every conflict-free
-    /// access touches each bank exactly once, so the grouping is rectangular).
-    /// Lets a concurrent write take each bank lock once per region.
-    pub bank_elems: Vec<u32>,
-    /// Run table of [`Self::fold`]: maximal constant-stride segments in
-    /// canonical order, tiling `0..len` exactly (proven by
-    /// [`Self::validate`]). The replay loop of the coalescing pass.
-    pub runs: Vec<RegionRun>,
+    /// Maximal affine segments tiling the canonical range exactly (proven
+    /// by [`Self::validate`]): under `BankMajor` grouped by bank and
+    /// ascending in `c` within each bank, under `AddrInterleaved` ascending
+    /// in `c`.
+    pub segments: Vec<Segment>,
     /// Maximal unit-stride intervals of the sorted storage image (the
     /// flat slots the region touches, merged). Same-plan copies replay
     /// these as pure block moves.
     pub store_runs: Vec<StoreRun>,
-    /// Per-bank run table over [`Self::bank_elems`]: bank `b` owns
-    /// `bank_runs[bank_run_index[b] .. bank_run_index[b + 1]]`.
-    pub bank_runs: Vec<BankRun>,
-    /// CSR index into [`Self::bank_runs`], `lanes + 1` entries.
-    pub bank_run_index: Vec<u32>,
-    /// Elements covered by unit-stride canonical runs (block moves); the
-    /// remaining `len - contiguous_elems` replay through the chunked
-    /// strided loop. Cached for the coalesced-bytes telemetry counters.
-    pub contiguous_elems: usize,
-    /// Elements covered by bank runs whose intra-bank stride is 1 — the
-    /// per-bank-locked replay's block-move share (the concurrent façade's
-    /// counterpart of [`Self::contiguous_elems`]).
-    pub bank_contiguous_elems: usize,
+    /// Under `BankMajor`, `lanes + 1` entries: bank `b` owns
+    /// `segments[bank_index[b] .. bank_index[b + 1]]`. Empty under
+    /// `AddrInterleaved`, whose segments cross banks.
+    pub bank_index: Vec<u32>,
+    /// Elements in storage-contiguous segments (`f_stride == 1`): the
+    /// coalesced share behind both façades' byte telemetry.
+    pub coalesced_elems: usize,
     /// Number of parallel accesses the region decomposes into.
     pub accesses: usize,
     /// Lanes per access (`p * q`).
     pub lanes: usize,
-    max_down: usize,
-    max_right: usize,
-    max_left: usize,
 }
 
-/// Greedy maximal constant-stride segmentation of the canonical gather
-/// map. Every element lands in exactly one run; a lone trailing element
-/// gets a degenerate `len == 1, stride == 1` run.
-fn build_runs(fold: &[isize]) -> Vec<RegionRun> {
-    let n = fold.len();
-    let mut runs = Vec::new();
-    let mut c = 0usize;
-    while c < n {
-        if c + 1 == n {
-            runs.push(RegionRun {
-                start: c as u32,
-                len: 1,
-                offset: fold[c],
-                stride: 1,
-            });
-            break;
+/// Greedy maximal affine segmentation of one group of canonical indices
+/// (`order`, ascending) whose flat offsets are `flat[c]`: a segment grows
+/// while both steps repeat and fit their fields.
+fn push_segments(order: &[u32], flat: &[isize], out: &mut Vec<Segment>) {
+    let step = |a: u32, b: u32| {
+        let fs = i32::try_from(flat[b as usize] - flat[a as usize]).ok()?;
+        Some((b - a, fs))
+    };
+    let mut t = 0usize;
+    while t < order.len() {
+        let c0 = order[t];
+        let mut seg = Segment {
+            flat0: flat[c0 as usize],
+            c0,
+            len: 1,
+            c_stride: 1,
+            f_stride: 1,
+        };
+        if let Some((cs, fs)) = order.get(t + 1).and_then(|&c1| step(c0, c1)) {
+            (seg.c_stride, seg.f_stride) = (cs, fs);
+            let mut last = t + 1;
+            while last + 1 < order.len() && step(order[last], order[last + 1]) == Some((cs, fs)) {
+                last += 1;
+            }
+            seg.len = (last - t + 1) as u32;
         }
-        let stride = fold[c + 1] - fold[c];
-        let mut last = c + 1;
-        while last + 1 < n && fold[last + 1] - fold[last] == stride {
-            last += 1;
-        }
-        runs.push(RegionRun {
-            start: c as u32,
-            len: (last - c + 1) as u32,
-            offset: fold[c],
-            stride,
-        });
-        c = last + 1;
+        t += seg.len as usize;
+        out.push(seg);
     }
-    runs
+}
+
+/// Elements in storage-contiguous (`f_stride == 1`) segments.
+fn coalesced(segments: &[Segment]) -> usize {
+    segments
+        .iter()
+        .filter(|s| s.f_stride == 1)
+        .map(|s| s.len as usize)
+        .sum()
 }
 
 /// Merge the sorted storage image into maximal unit-stride intervals.
-fn build_store_runs(fold: &[isize]) -> Vec<StoreRun> {
-    let mut sorted = fold.to_vec();
-    sorted.sort_unstable();
+fn build_store_runs(sorted: &[isize]) -> Vec<StoreRun> {
     let mut runs = Vec::new();
     let mut i = 0usize;
     while i < sorted.len() {
@@ -302,64 +308,14 @@ fn build_store_runs(fold: &[isize]) -> Vec<StoreRun> {
     runs
 }
 
-/// Greedy maximal dual-stride segmentation of each bank's element list.
-/// Returns the flat run table plus its `lanes + 1`-entry CSR index.
-fn build_bank_runs(
-    bank_elems: &[u32],
-    deltas: &[isize],
-    lanes: usize,
-    accesses: usize,
-) -> (Vec<BankRun>, Vec<u32>) {
-    let mut runs = Vec::new();
-    let mut index = Vec::with_capacity(lanes + 1);
-    index.push(0u32);
-    for b in 0..lanes {
-        let elems = &bank_elems[b * accesses..(b + 1) * accesses];
-        let mut t = 0usize;
-        while t < elems.len() {
-            let c0 = elems[t];
-            let d0 = deltas[c0 as usize];
-            if t + 1 == elems.len() {
-                runs.push(BankRun {
-                    c0,
-                    len: 1,
-                    d0,
-                    c_stride: 1,
-                    d_stride: 1,
-                });
-                break;
-            }
-            let c_stride = elems[t + 1] - elems[t];
-            let d_stride = deltas[elems[t + 1] as usize] - d0;
-            let mut last = t + 1;
-            while last + 1 < elems.len()
-                && elems[last + 1] - elems[last] == c_stride
-                && deltas[elems[last + 1] as usize] - deltas[elems[last] as usize] == d_stride
-            {
-                last += 1;
-            }
-            runs.push(BankRun {
-                c0,
-                len: (last - t + 1) as u32,
-                d0,
-                c_stride,
-                d_stride,
-            });
-            t = last + 1;
-        }
-        index.push(runs.len() as u32);
-    }
-    (runs, index)
-}
-
 impl RegionPlan {
     /// Compile the plan for `region`'s residue class.
     ///
     /// Runs the full checked pipeline once per access — scheme/alignment
     /// check, AGU bounds check, per-access plan compile through `cache`
-    /// (crossbar-verified) — then splices every lane into canonical order.
-    /// Errors surface in the same order the naive per-access loop would hit
-    /// them. Failed compiles are not cached.
+    /// (crossbar-verified) — then splices every lane into canonical order
+    /// and segments the result. Errors surface in the same order the naive
+    /// per-access loop would hit them. Failed compiles are not cached.
     pub fn compile(
         region: &Region,
         scheme: AccessScheme,
@@ -372,16 +328,22 @@ impl RegionPlan {
         let accesses = region.plan_accesses(p, q)?;
         let lanes = agu.lanes();
         let len = region.len();
+        if u32::try_from(len).is_err() {
+            return Err(PolyMemError::InvalidGeometry {
+                reason: format!(
+                    "region {}: {len} elements exceed a plan's u32 index",
+                    region.name
+                ),
+            });
+        }
         let base0 = afn.address(region.i, region.j) as isize;
         let layout = cache.layout();
         // Under an interleaved layout one intra-bank address step moves
         // `lanes` flat slots, so access-base offsets scale before folding.
         let scale = layout.base_scale(lanes);
 
-        let mut fold = vec![0isize; len];
-        let mut banks = vec![0u32; len];
-        let mut deltas = vec![0isize; len];
-        let mut afold = vec![0isize; len];
+        let mut flat = vec![0isize; len];
+        let mut bank = vec![0u32; len];
         let mut seen = vec![false; len];
         for (a, &acc) in accesses.iter().enumerate() {
             scheme.check_access(acc, p, q)?;
@@ -410,10 +372,8 @@ impl RegionPlan {
                     });
                 }
                 seen[c] = true;
-                fold[c] = plan.fold[k] + abase * scale;
-                banks[c] = plan.banks[k];
-                deltas[c] = plan.deltas[k] + abase;
-                afold[a * lanes + k] = plan.fold[k] + abase * scale;
+                flat[c] = plan.fold[k] + abase * scale;
+                bank[c] = plan.banks[k];
             }
         }
         if let Some(c) = seen.iter().position(|&s| !s) {
@@ -425,134 +385,131 @@ impl RegionPlan {
             });
         }
 
-        // CSR-by-bank grouping for merged per-bank writes.
-        let n_acc = accesses.len();
-        let mut bank_elems = vec![0u32; len];
-        let mut filled = vec![0usize; lanes.max(1)];
-        for (c, &b) in banks.iter().enumerate() {
-            let b = b as usize;
-            bank_elems[b * n_acc + filled[b]] = c as u32;
-            filled[b] += 1;
+        // Replay order: canonical within each bank (a stable counting sort)
+        // under BankMajor, plain canonical order otherwise.
+        let banked = layout == BankLayout::BankMajor;
+        let (order, bounds): (Vec<u32>, Vec<u32>) = if banked {
+            let mut bounds = vec![0u32; lanes + 1];
+            for &b in &bank {
+                bounds[b as usize + 1] += 1;
+            }
+            for b in 0..lanes {
+                bounds[b + 1] += bounds[b];
+            }
+            let mut fill = bounds.clone();
+            let mut order = vec![0u32; len];
+            for (c, &b) in bank.iter().enumerate() {
+                order[fill[b as usize] as usize] = c as u32;
+                fill[b as usize] += 1;
+            }
+            (order, bounds)
+        } else {
+            ((0..len as u32).collect(), vec![0, len as u32])
+        };
+        let mut segments = Vec::new();
+        let mut bank_index = vec![0u32];
+        for group in bounds.windows(2) {
+            push_segments(
+                &order[group[0] as usize..group[1] as usize],
+                &flat,
+                &mut segments,
+            );
+            bank_index.push(segments.len() as u32);
         }
+        if !banked {
+            bank_index.clear();
+        }
+        segments.shrink_to_fit();
+        let coalesced_elems = coalesced(&segments);
+        flat.sort_unstable();
+        let mut store_runs = build_store_runs(&flat);
+        store_runs.shrink_to_fit();
 
-        // The layout/coalescing pass: segment the gather map into maximal
-        // runs once, so every replay moves blocks instead of elements.
-        let runs = build_runs(&fold);
-        let store_runs = build_store_runs(&fold);
-        let (bank_runs, bank_run_index) = build_bank_runs(&bank_elems, &deltas, lanes, n_acc);
-        let contiguous_elems = runs
-            .iter()
-            .filter(|r| r.stride == 1)
-            .map(|r| r.len as usize)
-            .sum();
-        let bank_contiguous_elems = bank_runs
-            .iter()
-            .filter(|r| r.d_stride == 1)
-            .map(|r| r.len as usize)
-            .sum();
-
-        let (max_down, max_right, max_left) = region.extents();
         Ok(Self {
             shape: region.shape,
             layout,
-            fold,
-            banks,
-            deltas,
-            afold,
-            bank_elems,
-            runs,
+            segments,
             store_runs,
-            bank_runs,
-            bank_run_index,
-            contiguous_elems,
-            bank_contiguous_elems,
-            accesses: n_acc,
+            bank_index,
+            coalesced_elems,
+            accesses: accesses.len(),
             lanes,
-            max_down,
-            max_right,
-            max_left,
         })
     }
 
-    /// Elements the plan moves (the region length).
+    /// Elements the plan moves (the region length): every access fills
+    /// all of its lanes.
     #[inline]
     pub fn len(&self) -> usize {
-        self.fold.len()
+        self.accesses * self.lanes
     }
 
     /// Whether the plan moves nothing (zero-sized region).
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.fold.is_empty()
+        self.accesses == 0
     }
 
-    /// Bounds-check a concrete origin against the logical space. Plans are
-    /// shared across a residue class, so the actual origin must be re-checked
-    /// on every replay, exactly like the single-access plan's
-    /// [`Agu::check_bounds`]. Empty regions are always in bounds (the naive
-    /// path issues no access for them).
-    pub fn check_bounds(&self, region: &Region, rows: usize, cols: usize) -> Result<()> {
-        if self.is_empty() {
-            return Ok(());
-        }
-        let oob = |i: i64, j: i64| Err(PolyMemError::OutOfBounds { i, j, rows, cols });
-        if region.i + self.max_down >= rows {
-            return oob((region.i + self.max_down) as i64, region.j as i64);
-        }
-        if region.j + self.max_right >= cols {
-            return oob(region.i as i64, (region.j + self.max_right) as i64);
-        }
-        if region.j < self.max_left {
-            return oob(
-                (region.i + self.max_down) as i64,
-                region.j as i64 - self.max_left as i64,
-            );
-        }
-        Ok(())
+    /// Bank `b`'s segments (bank-major plans only).
+    #[inline]
+    pub fn bank_segments(&self, b: usize) -> &[Segment] {
+        &self.segments[self.bank_index[b] as usize..self.bank_index[b + 1] as usize]
+    }
+
+    /// The per-element view derived from the segments: `(c, flat)` for
+    /// every element, in replay order. For validation, the verifier and
+    /// tests; replays walk [`Self::segments`] directly.
+    pub fn elements(&self) -> impl Iterator<Item = (usize, isize)> + '_ {
+        self.segments.iter().flat_map(|s| s.elements())
+    }
+
+    /// Bytes one replay moves through storage-contiguous segments vs the
+    /// strided loop, for elements of `elem` bytes: the one definition
+    /// behind both façades' coalesced/strided telemetry.
+    #[inline]
+    pub fn byte_split(&self, elem: usize) -> (u64, u64) {
+        let unit = self.coalesced_elems;
+        ((unit * elem) as u64, ((self.len() - unit) * elem) as u64)
     }
 
     /// Flat slot of logical base address `base` under this plan's layout —
-    /// the origin every `fold`/`afold`/`store_runs` offset is relative to.
+    /// the origin every segment and `store_runs` offset is relative to.
     #[inline]
     pub fn flat_base(&self, base: isize) -> isize {
         base * self.layout.base_scale(self.lanes)
     }
 
-    /// Run-coalesced gather: replay the whole region out of `flat` (at
-    /// logical base address `base`) into `out` in canonical order.
-    /// Unit-stride runs are single block moves; the rest go through the
-    /// fixed-width chunked strided loop. Equivalent to the per-element
-    /// `out[c] = flat[base + fold[c]]` oracle, element for element.
-    #[inline]
+    /// Segment gather: replay the whole region out of `flat` (at logical
+    /// base address `base`) into `out` in canonical order. Equivalent to
+    /// `out[c] = flat[flat_base + f]` over [`Self::elements`], element for
+    /// element. Not inlined into callers, so the segment loop compiles to
+    /// the same code whichever façade or benchmark calls it.
+    #[inline(never)]
     pub fn gather_into<T: Copy>(&self, flat: &[T], base: isize, out: &mut [T]) {
         let fbase = self.flat_base(base);
-        for run in &self.runs {
-            let start = run.start as usize;
-            let len = run.len as usize;
-            let src0 = (fbase + run.offset) as usize;
-            let dst = &mut out[start..start + len];
-            if run.stride == 1 {
-                dst.copy_from_slice(&flat[src0..src0 + len]);
-            } else {
-                gather_strided(flat, src0 as isize, run.stride, dst);
-            }
+        for s in &self.segments {
+            copy_strided(
+                flat,
+                (fbase + s.flat0, s.f_stride as isize),
+                out,
+                (s.c0 as isize, s.c_stride as isize),
+                s.len as usize,
+            );
         }
     }
 
-    /// Run-coalesced scatter: the write mirror of [`Self::gather_into`].
-    #[inline]
+    /// Segment scatter: the write mirror of [`Self::gather_into`].
+    #[inline(never)]
     pub fn scatter_from<T: Copy>(&self, flat: &mut [T], base: isize, values: &[T]) {
         let fbase = self.flat_base(base);
-        for run in &self.runs {
-            let start = run.start as usize;
-            let len = run.len as usize;
-            let dst0 = (fbase + run.offset) as usize;
-            let src = &values[start..start + len];
-            if run.stride == 1 {
-                flat[dst0..dst0 + len].copy_from_slice(src);
-            } else {
-                scatter_strided(flat, dst0 as isize, run.stride, src);
-            }
+        for s in &self.segments {
+            copy_strided(
+                values,
+                (s.c0 as isize, s.c_stride as isize),
+                flat,
+                (fbase + s.flat0, s.f_stride as isize),
+                s.len as usize,
+            );
         }
     }
 
@@ -561,8 +518,7 @@ impl RegionPlan {
     /// `dbase`, every touched flat slot shifts by the same amount, so the
     /// copy is one `copy_within` per merged storage interval. Only valid
     /// when the two replays do not overlap (callers check; overlapping
-    /// copies keep the access-interleaved path for its ordering
-    /// semantics).
+    /// copies take the per-access loop for its ordering semantics).
     #[inline]
     pub fn copy_store_runs_within<T: Copy>(&self, flat: &mut [T], sbase: isize, dbase: isize) {
         let sflat = self.flat_base(sbase);
@@ -579,241 +535,144 @@ impl RegionPlan {
     /// into banks of `depth` elements.
     ///
     /// Verifies, without touching any memory:
-    /// * every canonical element's gather slot `base + fold[c]` is in bounds
-    ///   and lands inside the bank recorded in `banks[c]`, at the intra-bank
-    ///   address `base + deltas[c]` (gather and per-bank views agree);
-    /// * `fold` is injective (the gather is a permutation, so a scatter
-    ///   through it can never lose a write);
-    /// * `afold` is a bijective rearrangement of `fold` whose `lanes` slots
-    ///   are bank-disjoint within every access — each replayed cycle still
-    ///   hits `p*q` distinct banks;
-    /// * `bank_elems` partitions the canonical range rectangularly by bank;
-    /// * the run table exactly tiles the fold map — `runs` covers
-    ///   `0..len` contiguously with no overlap and no gap, and every run
-    ///   expands to precisely the fold offsets it claims;
+    /// * the segments exactly tile the canonical range `0..len` — no
+    ///   empty segment, no element twice, none missing;
+    /// * every element's flat slot is in bounds, and the slots are
+    ///   pairwise distinct (a scatter can never lose a write);
+    /// * every bank serves exactly `accesses` elements — each
+    ///   conflict-free access touches each of the `lanes` banks once;
+    /// * under `BankMajor`, the bank index is a `lanes + 1`-entry CSR and
+    ///   every segment listed under bank `b` stays inside bank `b`; under
+    ///   `AddrInterleaved`, the index is empty;
     /// * `store_runs` exactly tiles the sorted storage image (maximal
     ///   intervals: adjacent intervals never merge);
-    /// * `bank_runs` (+ its CSR index) expands positionally to exactly
-    ///   each bank's `bank_elems` list with matching address deltas.
+    /// * `coalesced_elems` counts the `f_stride == 1` segments' elements.
     ///
     /// Compiled plans satisfy this by construction; the `polymem-verify`
-    /// static analyzer re-proves it per cached class and trips it on
-    /// deliberately corrupted plans in `--inject` mode.
+    /// static analyzer re-proves it per cached class (and cross-checks
+    /// [`Self::elements`] against the MAF + addressing model) and trips it
+    /// on deliberately corrupted plans in `--inject` mode.
     pub fn validate(&self, base: isize, depth: usize) -> Result<()> {
         let len = self.len();
-        let structural = |reason: String| PolyMemError::InvalidGeometry { reason };
-        let nm = |what: &str| format!("region plan for {:?}: {what}", self.shape);
-        if self.banks.len() != len
-            || self.deltas.len() != len
-            || self.afold.len() != len
-            || self.bank_elems.len() != len
-            || self.accesses * self.lanes != len
-        {
-            return Err(structural(nm(
-                "array lengths disagree with the region size",
-            )));
+        let err = |what: String| PolyMemError::InvalidGeometry {
+            reason: format!("region plan for {:?}: {what}", self.shape),
+        };
+        let banked = self.layout == BankLayout::BankMajor;
+        let nseg = self.segments.len();
+        if banked {
+            let idx = &self.bank_index;
+            if idx.len() != self.lanes + 1
+                || idx[0] != 0
+                || idx[self.lanes] as usize != nseg
+                || idx.windows(2).any(|w| w[0] > w[1])
+            {
+                return Err(err("bank index is not a CSR over the banks".into()));
+            }
+        } else if !self.bank_index.is_empty() {
+            return Err(err("interleaved plan carries a bank index".into()));
         }
         let total = (self.lanes * depth) as isize;
         let fbase = self.flat_base(base);
-        for c in 0..len {
-            let abs = fbase + self.fold[c];
-            if abs < 0 || abs >= total {
-                return Err(structural(nm(&format!(
-                    "element {c} gathers from flat slot {abs} outside storage of {total}"
-                ))));
-            }
-            let bank = self.layout.bank_of(abs as usize, self.lanes, depth);
-            if bank != self.banks[c] as usize {
-                return Err(structural(nm(&format!(
-                    "element {c} gathers from bank {bank} but records bank {}",
-                    self.banks[c]
-                ))));
-            }
-            let addr = self.layout.addr_of(abs as usize, self.lanes, depth) as isize;
-            if addr != base + self.deltas[c] {
-                return Err(structural(nm(&format!(
-                    "element {c}: intra-bank address {addr} disagrees with delta view {}",
-                    base + self.deltas[c]
-                ))));
-            }
-        }
-        // fold injective + afold a permutation of fold.
-        let mut sorted_fold = self.fold.clone();
-        sorted_fold.sort_unstable();
-        if sorted_fold.windows(2).any(|w| w[0] == w[1]) {
-            return Err(structural(nm(
-                "two elements gather from the same flat slot",
-            )));
-        }
-        let mut sorted_afold = self.afold.clone();
-        sorted_afold.sort_unstable();
-        if sorted_fold != sorted_afold {
-            return Err(structural(nm(
-                "afold is not a rearrangement of the canonical gather map",
-            )));
-        }
-        // Per-access (per-cycle) bank disjointness through afold.
-        for a in 0..self.accesses {
-            let mut seen = vec![false; self.lanes];
-            for k in 0..self.lanes {
-                let bank = self.layout.bank_of(
-                    (fbase + self.afold[a * self.lanes + k]) as usize,
-                    self.lanes,
-                    depth,
-                );
-                if seen[bank] {
-                    return Err(PolyMemError::BankConflict {
-                        bank,
-                        lane_a: a * self.lanes,
-                        lane_b: a * self.lanes + k,
-                    });
-                }
-                seen[bank] = true;
-            }
-        }
-        // bank_elems: rectangular grouping covering every element once, each
-        // group owned by its bank.
         let mut covered = vec![false; len];
-        for b in 0..self.lanes {
-            for &c in &self.bank_elems[b * self.accesses..(b + 1) * self.accesses] {
-                let c = c as usize;
+        let mut per_bank = vec![0usize; self.lanes];
+        let mut slots = Vec::with_capacity(len);
+        let mut owner = 0usize;
+        for (k, seg) in self.segments.iter().enumerate() {
+            if seg.len == 0 {
+                return Err(err(format!("segment {k} is empty")));
+            }
+            if banked {
+                while self.bank_index[owner + 1] as usize <= k {
+                    owner += 1;
+                }
+            }
+            for (c, f) in seg.elements() {
                 if c >= len || covered[c] {
-                    return Err(structural(nm(&format!(
-                        "bank_elems group {b} repeats or overruns element {c}"
-                    ))));
+                    return Err(err(format!(
+                        "segment {k} repeats or overruns canonical element {c} \
+                         (mis-tiled segment list)"
+                    )));
                 }
                 covered[c] = true;
-                if self.banks[c] as usize != b {
-                    return Err(structural(nm(&format!(
-                        "bank_elems group {b} claims element {c} owned by bank {}",
-                        self.banks[c]
-                    ))));
+                let abs = fbase + f;
+                if abs < 0 || abs >= total {
+                    return Err(err(format!(
+                        "element {c} gathers from flat slot {abs} outside storage of {total}"
+                    )));
                 }
+                let bank = self.layout.bank_of(abs as usize, self.lanes, depth);
+                if banked && bank != owner {
+                    return Err(err(format!(
+                        "segment {k} is listed under bank {owner} but element {c} \
+                         lives in bank {bank}"
+                    )));
+                }
+                per_bank[bank] += 1;
+                slots.push(f);
             }
         }
-        // Run table tiles the fold map: contiguous cover of 0..len, no
-        // overlap, no gap, and every run expands to exactly the fold
-        // offsets it claims.
-        let mut next = 0usize;
-        for (r, run) in self.runs.iter().enumerate() {
-            if run.len == 0 {
-                return Err(structural(nm(&format!("run {r} is empty"))));
-            }
-            if run.start as usize != next {
-                return Err(structural(nm(&format!(
-                    "run {r} starts at element {} but the previous run ended at {next} \
-                     (mis-tiled run table)",
-                    run.start
-                ))));
-            }
-            for t in 0..run.len as usize {
-                let want = run.offset + t as isize * run.stride;
-                if self.fold[next + t] != want {
-                    return Err(structural(nm(&format!(
-                        "run {r} claims element {} gathers from offset {want} but the fold \
-                         map says {}",
-                        next + t,
-                        self.fold[next + t]
-                    ))));
-                }
-            }
-            next += run.len as usize;
+        if slots.len() != len {
+            return Err(err(format!(
+                "segments cover {} of {len} elements (mis-tiled segment list)",
+                slots.len()
+            )));
         }
-        if next != len {
-            return Err(structural(nm(&format!(
-                "run table covers {next} of {len} elements (mis-tiled run table)"
-            ))));
+        if let Some(b) = per_bank.iter().position(|&n| n != self.accesses) {
+            return Err(err(format!(
+                "bank {b} serves {} elements, but {} conflict-free accesses give \
+                 every bank exactly one each",
+                per_bank[b], self.accesses
+            )));
+        }
+        slots.sort_unstable();
+        if slots.windows(2).any(|w| w[0] == w[1]) {
+            return Err(err("two elements gather from the same flat slot".into()));
         }
         // store_runs tile the sorted storage image exactly, as maximal
         // (non-mergeable) intervals.
         let mut expanded = 0usize;
         for (r, run) in self.store_runs.iter().enumerate() {
             if run.len == 0 {
-                return Err(structural(nm(&format!("storage interval {r} is empty"))));
+                return Err(err(format!("storage interval {r} is empty")));
             }
             if r > 0 {
                 let prev = self.store_runs[r - 1];
                 if run.offset <= prev.offset + prev.len as isize {
-                    return Err(structural(nm(&format!(
+                    return Err(err(format!(
                         "storage intervals {} and {r} overlap or fail to merge",
                         r - 1
-                    ))));
+                    )));
                 }
             }
             for t in 0..run.len as usize {
                 let slot = run.offset + t as isize;
-                if expanded + t >= len || sorted_fold[expanded + t] != slot {
-                    return Err(structural(nm(&format!(
+                if expanded + t >= len || slots[expanded + t] != slot {
+                    return Err(err(format!(
                         "storage interval {r} claims flat offset {slot} the region does \
                          not gather from"
-                    ))));
+                    )));
                 }
             }
             expanded += run.len as usize;
         }
         if expanded != len {
-            return Err(structural(nm(&format!(
+            return Err(err(format!(
                 "storage intervals cover {expanded} of {len} touched slots"
-            ))));
+            )));
         }
-        // bank_runs expand positionally to each bank's element list with
-        // matching deltas.
-        if self.bank_run_index.len() != self.lanes + 1
-            || self.bank_run_index.first() != Some(&0)
-            || self.bank_run_index.last().copied() != Some(self.bank_runs.len() as u32)
-        {
-            return Err(structural(nm("bank run index is not a CSR over the banks")));
-        }
-        for b in 0..self.lanes {
-            let (lo, hi) = (
-                self.bank_run_index[b] as usize,
-                self.bank_run_index[b + 1] as usize,
-            );
-            if lo > hi || hi > self.bank_runs.len() {
-                return Err(structural(nm(&format!(
-                    "bank run index for bank {b} is out of order"
-                ))));
-            }
-            let elems = &self.bank_elems[b * self.accesses..(b + 1) * self.accesses];
-            let mut pos = 0usize;
-            for run in &self.bank_runs[lo..hi] {
-                if run.len == 0 {
-                    return Err(structural(nm(&format!("bank {b} has an empty run"))));
-                }
-                for t in 0..run.len as usize {
-                    let c = run.c0 as usize + t * run.c_stride as usize;
-                    let d = run.d0 + t as isize * run.d_stride;
-                    if pos + t >= elems.len() || elems[pos + t] as usize != c || self.deltas[c] != d
-                    {
-                        return Err(structural(nm(&format!(
-                            "bank {b} run expands to element {c} delta {d}, disagreeing \
-                             with the bank element list"
-                        ))));
-                    }
-                }
-                pos += run.len as usize;
-            }
-            if pos != elems.len() {
-                return Err(structural(nm(&format!(
-                    "bank {b} runs cover {pos} of {} elements",
-                    elems.len()
-                ))));
-            }
+        if self.coalesced_elems != coalesced(&self.segments) {
+            return Err(err(
+                "coalesced element count disagrees with the segments".into()
+            ));
         }
         Ok(())
     }
 
-    /// Approximate heap footprint of the precomputed arrays, in bytes.
+    /// Heap footprint of the plan's tables, in bytes.
     pub fn heap_bytes(&self) -> usize {
-        self.fold.len() * size_of::<isize>()
-            + self.banks.len() * size_of::<u32>()
-            + self.deltas.len() * size_of::<isize>()
-            + self.afold.len() * size_of::<isize>()
-            + self.bank_elems.len() * size_of::<u32>()
-            + self.runs.len() * size_of::<RegionRun>()
+        self.segments.len() * size_of::<Segment>()
             + self.store_runs.len() * size_of::<StoreRun>()
-            + self.bank_runs.len() * size_of::<BankRun>()
-            + self.bank_run_index.len() * size_of::<u32>()
+            + self.bank_index.len() * size_of::<u32>()
     }
 }
 
@@ -854,9 +713,9 @@ pub struct RegionPlanCache {
     misses: StatCounter,
     evictions: StatCounter,
     bytes: AtomicU64,
-    /// When telemetry is attached: the length of every run the coalescing
-    /// pass emits, observed once per compilation (plans are immutable, so
-    /// compile time is the one place run shapes are decided).
+    /// When telemetry is attached: the length of every segment a plan
+    /// holds, observed once per compilation (plans are immutable, so
+    /// compile time is the one place segment shapes are decided).
     run_hist: Option<Histogram>,
 }
 
@@ -865,7 +724,7 @@ impl RegionPlanCache {
     /// shape classes, but finite.
     pub const DEFAULT_CAPACITY: usize = 4096;
 
-    /// Histogram bucket bounds for run lengths (powers of two up to a
+    /// Histogram bucket bounds for segment lengths (powers of two up to a
     /// full STREAM-sized row; the overflow bucket catches the rest).
     pub const RUN_LENGTH_BOUNDS: &'static [u64] = &[1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024];
 
@@ -891,12 +750,11 @@ impl RegionPlanCache {
         }
     }
 
-    /// Record a freshly compiled plan's run lengths, if telemetry is on.
+    /// Record a freshly compiled plan's segment lengths, if telemetry is
+    /// on.
     fn observe_runs(&self, plan: &RegionPlan) {
         if let Some(h) = &self.run_hist {
-            for run in &plan.runs {
-                h.observe(run.len as u64);
-            }
+            observe_segments(h, plan);
         }
     }
 
@@ -952,9 +810,9 @@ impl RegionPlanCache {
 
     /// The plan for `region`'s residue class, compiling through `cache` on
     /// first use (evicting the least-recently-used plan when full). The
-    /// caller still bounds-checks the concrete origin via
-    /// [`RegionPlan::check_bounds`] (compilation checks the representative;
-    /// cache hits do not).
+    /// caller bounds-checks the concrete region via
+    /// [`Region::check_bounds`] first (compilation checks the
+    /// representative; cache hits do not).
     #[allow(clippy::too_many_arguments)]
     pub fn get_or_compile(
         &mut self,
@@ -1027,11 +885,11 @@ impl RegionPlanCache {
 
     /// Export the hit/miss/eviction counters through `registry` as
     /// `polymem_plan_cache_{hits,misses,evictions}_total` with the given
-    /// labels, and start recording the coalescing pass's run lengths into
+    /// labels, and start recording plan segment lengths into
     /// `polymem_region_run_length`. The registry holds live handles to
     /// the same atomics [`Self::stats`] reads, so exported values track
     /// lookups with no extra work on the lookup path; the histogram costs
-    /// one observation per run per *compilation* (never per replay).
+    /// one observation per segment per *compilation* (never per replay).
     pub fn register_telemetry(&mut self, registry: &TelemetryRegistry, labels: Vec<Label>) {
         registry.register_stat("polymem_plan_cache_hits_total", labels.clone(), &self.hits);
         registry.register_stat(
@@ -1049,11 +907,16 @@ impl RegionPlanCache {
         // them so the histogram reflects the cache, not just future
         // compiles.
         for slot in self.map.values() {
-            for run in &slot.plan.runs {
-                hist.observe(run.len as u64);
-            }
+            observe_segments(&hist, &slot.plan);
         }
         self.run_hist = Some(hist);
+    }
+}
+
+/// One `polymem_region_run_length` observation per segment of `plan`.
+fn observe_segments(h: &Histogram, plan: &RegionPlan) {
+    for s in &plan.segments {
+        h.observe(s.len as u64);
     }
 }
 
@@ -1098,6 +961,15 @@ mod tests {
         )
     }
 
+    /// The derived per-element view as a canonical-order gather map.
+    fn fold_of(plan: &RegionPlan) -> Vec<isize> {
+        let mut fold = vec![0isize; plan.len()];
+        for (c, f) in plan.elements() {
+            fold[c] = f;
+        }
+        fold
+    }
+
     #[test]
     fn block_plan_matches_interpreted_addressing() {
         let (agu, maf, afn, mut cache) = blocks(AccessScheme::ReO, 2, 4, 16, 16);
@@ -1108,12 +980,11 @@ mod tests {
         assert_eq!(plan.len(), 32);
         assert_eq!(plan.accesses, 4);
         let base0 = afn.address(2, 4) as isize;
+        let fold = fold_of(&plan);
         for (c, (i, j)) in r.coords_iter().unwrap().enumerate() {
             let bank = maf.assign_linear(i, j);
             let addr = afn.address(i, j) as isize;
-            assert_eq!(plan.banks[c] as usize, bank);
-            assert_eq!(base0 + plan.deltas[c], addr);
-            assert_eq!(plan.fold[c], bank as isize * depth as isize + addr - base0);
+            assert_eq!(fold[c], bank as isize * depth as isize + addr - base0);
         }
     }
 
@@ -1124,42 +995,52 @@ mod tests {
         let b = Region::new("b", 3 + 8, 8 + 16, RegionShape::Row { len: 16 });
         let pa = RegionPlan::compile(&a, AccessScheme::ReRo, &agu, &maf, &afn, &mut cache).unwrap();
         let pb = RegionPlan::compile(&b, AccessScheme::ReRo, &agu, &maf, &afn, &mut cache).unwrap();
-        assert_eq!(pa.fold, pb.fold);
-        assert_eq!(pa.deltas, pb.deltas);
-        assert_eq!(pa.afold, pb.afold);
+        assert_eq!(pa.segments, pb.segments);
+        assert_eq!(pa.store_runs, pb.store_runs);
+        assert_eq!(pa.bank_index, pb.bank_index);
     }
 
     #[test]
     fn bank_elems_is_a_rectangular_cover() {
+        // Every bank's segment range covers exactly `accesses` elements,
+        // all living in that bank, and the banks together cover each
+        // canonical element once.
         let (agu, maf, afn, mut cache) = blocks(AccessScheme::RoCo, 2, 4, 16, 16);
+        let depth = (16 / 2) * (16 / 4);
         let r = Region::new("b", 2, 0, RegionShape::Block { rows: 4, cols: 8 });
         let plan =
             RegionPlan::compile(&r, AccessScheme::RoCo, &agu, &maf, &afn, &mut cache).unwrap();
-        let mut all: Vec<u32> = plan.bank_elems.clone();
-        all.sort_unstable();
-        let want: Vec<u32> = (0..plan.len() as u32).collect();
-        assert_eq!(all, want, "every canonical element appears exactly once");
+        assert_eq!(plan.bank_index.len(), plan.lanes + 1);
+        let base = afn.address(r.i, r.j) as isize;
+        let mut all = Vec::new();
         for b in 0..plan.lanes {
-            for &c in &plan.bank_elems[b * plan.accesses..(b + 1) * plan.accesses] {
-                assert_eq!(plan.banks[c as usize] as usize, b);
+            let segs = plan.bank_segments(b);
+            let elems: Vec<(usize, isize)> = segs.iter().flat_map(|s| s.elements()).collect();
+            assert_eq!(elems.len(), plan.accesses, "bank {b}");
+            for &(c, f) in &elems {
+                assert_eq!((base + f) as usize / depth, b, "element {c}");
+                all.push(c);
             }
         }
+        all.sort_unstable();
+        assert_eq!(all, (0..plan.len()).collect::<Vec<_>>());
     }
 
     #[test]
     fn check_bounds_replays_origin() {
+        // A plan serves its whole residue class, so each concrete origin is
+        // bounds-checked on its own before the lookup.
         let (agu, maf, afn, mut cache) = blocks(AccessScheme::ReRo, 2, 4, 16, 16);
         let r = Region::new("row", 0, 0, RegionShape::Row { len: 16 });
-        let plan =
-            RegionPlan::compile(&r, AccessScheme::ReRo, &agu, &maf, &afn, &mut cache).unwrap();
-        assert!(plan
-            .check_bounds(&Region::new("x", 15, 0, r.shape), 16, 16)
+        RegionPlan::compile(&r, AccessScheme::ReRo, &agu, &maf, &afn, &mut cache).unwrap();
+        assert!(Region::new("x", 15, 0, r.shape)
+            .check_bounds(16, 16)
             .is_ok());
-        assert!(plan
-            .check_bounds(&Region::new("x", 16, 0, r.shape), 16, 16)
+        assert!(Region::new("x", 16, 0, r.shape)
+            .check_bounds(16, 16)
             .is_err());
-        assert!(plan
-            .check_bounds(&Region::new("x", 0, 8, r.shape), 16, 16)
+        assert!(Region::new("x", 0, 8, r.shape)
+            .check_bounds(16, 16)
             .is_err());
     }
 
@@ -1167,15 +1048,14 @@ mod tests {
     fn secondary_diag_left_reach_checked() {
         let (agu, maf, afn, mut cache) = blocks(AccessScheme::ReRo, 2, 4, 32, 32);
         let r = Region::new("d", 0, 15, RegionShape::SecondaryDiag { len: 16 });
-        let plan =
-            RegionPlan::compile(&r, AccessScheme::ReRo, &agu, &maf, &afn, &mut cache).unwrap();
-        assert!(plan.check_bounds(&r, 32, 32).is_ok());
+        RegionPlan::compile(&r, AccessScheme::ReRo, &agu, &maf, &afn, &mut cache).unwrap();
+        assert!(r.check_bounds(32, 32).is_ok());
+        // Same residue class mod 8 (15 vs 23), still in bounds.
         let shifted = Region::new("d", 8, 15 + 8, RegionShape::SecondaryDiag { len: 16 });
-        // Same residue class mod 8? 15 vs 23 -> both 7 mod 8; in bounds.
-        assert!(plan.check_bounds(&shifted, 32, 32).is_ok());
+        assert!(shifted.check_bounds(32, 32).is_ok());
         let tight = Region::new("d", 0, 7, RegionShape::SecondaryDiag { len: 16 });
         assert!(matches!(
-            plan.check_bounds(&tight, 32, 32),
+            tight.check_bounds(32, 32),
             Err(PolyMemError::OutOfBounds { .. })
         ));
     }
@@ -1232,21 +1112,25 @@ mod tests {
         let base = afn.address(r.i, r.j) as isize;
         plan.validate(base, depth).unwrap();
 
+        // Two segments gathering from one slot.
         let mut dup = plan.clone();
-        dup.fold[1] = dup.fold[0];
+        dup.segments[1].flat0 = dup.segments[0].flat0;
         assert!(dup.validate(base, depth).is_err());
 
+        // A segment moved into another bank's slab.
         let mut skew = plan.clone();
-        skew.banks[3] = (skew.banks[3] + 1) % skew.lanes as u32;
+        skew.segments[3].flat0 += depth as isize;
         assert!(skew.validate(base, depth).is_err());
 
-        let mut bad_afold = plan.clone();
-        bad_afold.afold[0] += 1;
-        assert!(bad_afold.validate(base, depth).is_err());
+        // Bank ranges reshuffled: a segment listed under the wrong bank.
+        let mut bad_index = plan.clone();
+        bad_index.bank_index[1] += 1;
+        assert!(bad_index.validate(base, depth).is_err());
 
-        let mut bad_groups = plan.clone();
-        bad_groups.bank_elems[1] = bad_groups.bank_elems[0];
-        assert!(bad_groups.validate(base, depth).is_err());
+        // A gather slot outside storage.
+        let mut oob = plan.clone();
+        oob.segments[0].flat0 = -base - 1;
+        assert!(oob.validate(base, depth).is_err());
     }
 
     #[test]
@@ -1317,19 +1201,19 @@ mod tests {
             RegionPlan::compile(&r, AccessScheme::ReO, &agu, &maf, &afn, &mut cache).unwrap();
         assert!(plan.is_empty());
         assert_eq!(plan.accesses, 0);
-        assert!(plan.runs.is_empty());
+        assert!(plan.segments.is_empty());
         assert!(plan.store_runs.is_empty());
-        assert!(plan.bank_runs.is_empty());
-        assert_eq!(plan.bank_run_index, vec![0u32; plan.lanes + 1]);
+        assert_eq!(plan.bank_index, vec![0u32; plan.lanes + 1]);
+        plan.validate(0, 32).unwrap();
         // An empty region is in bounds anywhere (no access is issued).
-        assert!(plan
-            .check_bounds(&Region::new("e", 999, 999, r.shape), 16, 16)
+        assert!(Region::new("e", 999, 999, r.shape)
+            .check_bounds(16, 16)
             .is_ok());
     }
 
     #[test]
     fn strided_chunk_shape_golden() {
-        // The vectorization contract: strided runs replay as 4-wide
+        // The vectorization contract: strided segments replay as 4-wide
         // chunks with an unrolled body plus a scalar tail. Changing the
         // width or the decomposition breaks this golden on purpose.
         assert_eq!(STRIDE_CHUNK, 4);
@@ -1376,34 +1260,34 @@ mod tests {
             ] {
                 let (plan, base, depth) = compile_on(scheme, layout, &region);
                 plan.validate(base, depth).unwrap();
-                // Run table tiles the canonical range and mirrors fold.
-                let mut covered = 0usize;
-                for run in &plan.runs {
-                    assert_eq!(run.start as usize, covered);
-                    for t in 0..run.len as usize {
-                        assert_eq!(plan.fold[covered + t], run.offset + t as isize * run.stride);
+                // Segments follow the layout's order: ascending c within
+                // each bank (bank-major) or overall (interleaved).
+                let mut prev: Option<usize> = None;
+                for (k, s) in plan.segments.iter().enumerate() {
+                    let starts_bank =
+                        layout == BankLayout::BankMajor && plan.bank_index.contains(&(k as u32));
+                    if let (Some(p), false) = (prev, starts_bank) {
+                        assert!(s.c0 as usize > p, "{scheme} {layout:?} segment {k}");
                     }
-                    covered += run.len as usize;
+                    prev = Some(s.c0 as usize + (s.len as usize - 1) * s.c_stride as usize);
                 }
-                assert_eq!(covered, plan.len());
-                // Coalesced gather == per-element oracle.
+                // Segment gather == per-element oracle.
                 let total = plan.lanes * depth;
                 let flat: Vec<u64> = (0..total as u64).map(|x| x * 7 + 3).collect();
                 let mut out = vec![0u64; plan.len()];
                 plan.gather_into(&flat, base, &mut out);
                 let fbase = plan.flat_base(base);
-                let oracle: Vec<u64> = plan
-                    .fold
+                let oracle: Vec<u64> = fold_of(&plan)
                     .iter()
                     .map(|&f| flat[(fbase + f) as usize])
                     .collect();
                 assert_eq!(out, oracle, "{scheme} {layout:?}");
-                // Coalesced scatter == per-element oracle.
+                // Segment scatter == per-element oracle.
                 let values: Vec<u64> = (0..plan.len() as u64).map(|x| x + 1000).collect();
                 let mut flat_a = flat.clone();
                 plan.scatter_from(&mut flat_a, base, &values);
                 let mut flat_b = flat;
-                for (c, &f) in plan.fold.iter().enumerate() {
+                for (c, f) in plan.elements() {
                     flat_b[(fbase + f) as usize] = values[c];
                 }
                 assert_eq!(flat_a, flat_b, "{scheme} {layout:?}");
@@ -1414,7 +1298,7 @@ mod tests {
     #[test]
     fn same_plan_copy_store_runs_matches_element_copy() {
         // Two origins in the same residue class: the store-run copy must
-        // equal the per-element dst[fold] = src[fold] oracle.
+        // equal the per-element dst[f] = src[f] oracle.
         let region = Region::new("b", 0, 0, RegionShape::Block { rows: 4, cols: 8 });
         let shifted = Region::new("b2", 16, 8, region.shape);
         for layout in [BankLayout::BankMajor, BankLayout::AddrInterleaved] {
@@ -1425,7 +1309,7 @@ mod tests {
             let mut flat_b = flat_a.clone();
             plan.copy_store_runs_within(&mut flat_a, sbase, dbase);
             let (sf, df) = (plan.flat_base(sbase), plan.flat_base(dbase));
-            for &f in &plan.fold {
+            for (_, f) in plan.elements() {
                 flat_b[(df + f) as usize] = flat_b[(sf + f) as usize];
             }
             assert_eq!(flat_a, flat_b, "{layout:?}");
@@ -1435,8 +1319,9 @@ mod tests {
     #[test]
     fn interleaved_layout_lengthens_unit_stride_runs() {
         // The point of the knob: under RoCo block decomposition the
-        // bank-major layout yields stride-`depth` runs, the interleaved
-        // layout turns the same segments into unit-stride block moves.
+        // interleaved layout turns the canonical walk into long block
+        // moves (both strides 1), which bank-major segments — one bank
+        // each — cannot offer.
         let region = Region::new("b", 0, 0, RegionShape::Block { rows: 4, cols: 8 });
         let (bm, base_bm, depth_bm) =
             compile_on(AccessScheme::RoCo, BankLayout::BankMajor, &region);
@@ -1444,29 +1329,25 @@ mod tests {
             compile_on(AccessScheme::RoCo, BankLayout::AddrInterleaved, &region);
         bm.validate(base_bm, depth_bm).unwrap();
         il.validate(base_il, depth_il).unwrap();
-        assert!(
-            il.contiguous_elems > bm.contiguous_elems,
-            "interleaved {} vs bank-major {}",
-            il.contiguous_elems,
-            bm.contiguous_elems
-        );
+        let block_moves = |p: &RegionPlan| -> Vec<u32> {
+            p.segments
+                .iter()
+                .filter(|s| s.c_stride == 1 && s.f_stride == 1)
+                .map(|s| s.len)
+                .collect()
+        };
+        let moved = |p: &RegionPlan| block_moves(p).iter().sum::<u32>() as usize;
+        let longest = |p: &RegionPlan| block_moves(p).into_iter().max().unwrap_or(0);
         // The majority of the block coalesces (the `i/p` rotation in RoCo's
         // `h` component keeps some rows strided), and the longest block
         // move grows well past anything bank-major can offer.
         assert!(
-            il.contiguous_elems * 2 > il.len(),
+            moved(&il) * 2 > il.len(),
             "interleaved coalesces a majority: {} of {}",
-            il.contiguous_elems,
+            moved(&il),
             il.len()
         );
-        let longest = |p: &RegionPlan| {
-            p.runs
-                .iter()
-                .filter(|r| r.stride == 1)
-                .map(|r| r.len)
-                .max()
-                .unwrap_or(0)
-        };
+        assert!(moved(&il) > moved(&bm));
         assert!(
             longest(&il) >= 4 * longest(&bm).max(1),
             "interleaved longest {} vs bank-major {}",
@@ -1481,21 +1362,27 @@ mod tests {
         let (plan, base, depth) = compile_on(AccessScheme::RoCo, BankLayout::BankMajor, &region);
         plan.validate(base, depth).unwrap();
 
-        // A run that starts early (overlap with its predecessor).
+        // A segment that starts one element early (overlaps a neighbour).
         let mut overlap = plan.clone();
-        assert!(overlap.runs.len() >= 2, "block plan has multiple runs");
-        overlap.runs[1].start -= 1;
+        let second = overlap.segments[1];
+        overlap.segments[0].c0 = second.c0;
         assert!(overlap.validate(base, depth).is_err());
 
-        // A run whose expansion disagrees with the fold map.
+        // A segment whose canonical stride is stretched.
         let mut skew = plan.clone();
-        let long = skew.runs.iter().position(|r| r.len >= 2).unwrap();
-        skew.runs[long].stride += 1;
+        let long = skew.segments.iter().position(|s| s.len >= 2).unwrap();
+        skew.segments[long].c_stride += 1;
         assert!(skew.validate(base, depth).is_err());
 
-        // A dropped run (gap: table covers too few elements).
+        // A segment whose flat stride is stretched.
+        let mut fskew = plan.clone();
+        fskew.segments[long].f_stride += 1;
+        assert!(fskew.validate(base, depth).is_err());
+
+        // A dropped segment (gap: the list covers too few elements).
         let mut gap = plan.clone();
-        gap.runs.pop();
+        gap.segments.pop();
+        *gap.bank_index.last_mut().unwrap() -= 1;
         assert!(gap.validate(base, depth).is_err());
 
         // A storage interval claiming a slot the region never touches.
@@ -1517,15 +1404,51 @@ mod tests {
         );
         assert!(split.validate(base, depth).is_err());
 
-        // A bank run expanding to the wrong delta.
-        let mut bad_bank = plan.clone();
-        let wide = bad_bank.bank_runs.iter().position(|r| r.len >= 2).unwrap();
-        bad_bank.bank_runs[wide].d_stride += 1;
-        assert!(bad_bank.validate(base, depth).is_err());
-
-        // A broken CSR index over the bank runs.
+        // A broken CSR index over the banks.
         let mut bad_index = plan.clone();
-        bad_index.bank_run_index[1] = bad_index.bank_run_index[plan.lanes];
+        bad_index.bank_index[1] = bad_index.bank_index[plan.lanes];
         assert!(bad_index.validate(base, depth).is_err());
+
+        // A coalesced count that disagrees with the segments.
+        let mut miscount = plan.clone();
+        miscount.coalesced_elems += 1;
+        assert!(miscount.validate(base, depth).is_err());
+    }
+
+    #[test]
+    fn stream_vector_plan_is_128_segments_and_small() {
+        // The paper's STREAM vector: a 16x512 Block of a 48x512 RoCo
+        // memory on 2x4 banks, bank-major. Each bank's 1,024 elements are
+        // 16 segments of 64 (canonical stride 8, flat stride 2), and the
+        // whole plan costs at most 1/16 of the 64 KiB of f64 it moves.
+        let (agu, maf, afn, mut cache) = blocks(AccessScheme::RoCo, 2, 4, 48, 512);
+        let depth = (48 / 2) * (512 / 4);
+        for i in [0, 16, 32] {
+            let r = Region::new(
+                "v",
+                i,
+                0,
+                RegionShape::Block {
+                    rows: 16,
+                    cols: 512,
+                },
+            );
+            let plan =
+                RegionPlan::compile(&r, AccessScheme::RoCo, &agu, &maf, &afn, &mut cache).unwrap();
+            plan.validate(afn.address(r.i, r.j) as isize, depth)
+                .unwrap();
+            assert_eq!(plan.segments.len(), 128);
+            assert!(plan
+                .segments
+                .iter()
+                .all(|s| (s.len, s.c_stride, s.f_stride) == (64, 8, 2)));
+            let moved = plan.len() * size_of::<f64>();
+            assert_eq!(moved, 65_536);
+            assert!(
+                plan.heap_bytes() <= moved / 16,
+                "plan heap {} B for {moved} B moved",
+                plan.heap_bytes()
+            );
+        }
     }
 }

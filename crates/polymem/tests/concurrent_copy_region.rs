@@ -1,7 +1,7 @@
 //! Parity and race tests for `ConcurrentPolyMem::copy_region`.
 //!
 //! The concurrent burst copy (port-sharded gather + per-bank merged
-//! writes, or the access-interleaved fallback for overlap) must be
+//! writes, or the per-access loop for overlap and cross-shape) must be
 //! observationally identical to the sequential `PolyMem::copy_region`
 //! for every scheme and every supported region pair — including the
 //! error cases — and must never expose torn values to racing readers.

@@ -3,7 +3,7 @@
 //! A static analyzer that never fires is indistinguishable from one that
 //! proves things. This module seeds one representative violation per
 //! hazard class — a false support claim, a corrupted access plan, a
-//! corrupted region plan, a mis-tiled run table, a reversed lock nesting,
+//! corrupted region plan, a mis-tiled segment list, a reversed lock nesting,
 //! a writing read-port thread, a locked telemetry call under a bank
 //! guard, a panicking hot path, a deregistered stream feedback loop, a
 //! downgraded Acquire ordering, a bank guard dropped before the spread
@@ -111,8 +111,8 @@ fn corrupt_access_plan() -> Mutation {
     )
 }
 
-/// Mutation 3: corrupt a compiled region plan (skew one fold slot) and
-/// feed it to the structural validator.
+/// Mutation 3: corrupt a compiled region plan (skew one segment's flat
+/// origin) and feed it to the structural validator.
 fn corrupt_region_plan() -> Mutation {
     let (p, q) = (2usize, 4usize);
     let n = p * q;
@@ -126,7 +126,7 @@ fn corrupt_region_plan() -> Mutation {
         .expect("supported region compiles");
     let base = afn.address(region.i, region.j) as isize;
     let mut bad = plan.clone();
-    bad.fold[0] += 1;
+    bad.segments[0].flat0 += 1;
     let mut findings = Vec::new();
     if let Err(e) = bad.validate(base, depth) {
         findings.push(Finding::new(
@@ -146,10 +146,10 @@ fn corrupt_region_plan() -> Mutation {
     )
 }
 
-/// Mutation 3b: mis-tile a compiled region plan's run table (stretch one
-/// coalesced run's stride) and feed it to the structural validator. The
-/// run-tiling proof must notice the run no longer expands to the fold
-/// offsets it claims.
+/// Mutation 3b: mis-tile a compiled region plan's segment list (stretch
+/// one multi-element segment's canonical stride) and feed it to the
+/// structural validator. The tiling proof must notice the segment no
+/// longer covers the canonical elements it should.
 fn mistiled_run_table() -> Mutation {
     let (p, q) = (2usize, 4usize);
     let n = p * q;
@@ -164,18 +164,18 @@ fn mistiled_run_table() -> Mutation {
     let base = afn.address(region.i, region.j) as isize;
     let mut bad = plan.clone();
     let victim = bad
-        .runs
+        .segments
         .iter()
-        .position(|r| r.len >= 2)
-        .expect("a row region coalesces into at least one multi-element run");
-    bad.runs[victim].stride += 1;
+        .position(|s| s.len >= 2)
+        .expect("a row region coalesces into at least one multi-element segment");
+    bad.segments[victim].c_stride += 1;
     let mut findings = Vec::new();
     if let Err(e) = bad.validate(base, depth) {
         findings.push(Finding::new(
             "plans",
             Severity::Error,
             "plan-corrupt",
-            "injected run table",
+            "injected segment list",
             format!("{e}"),
         ));
     }

@@ -31,6 +31,7 @@ const HOT: &[(&str, &[&str])] = &[
         "crates/polymem/src/concurrent.rs",
         &[
             "read",
+            "read_into",
             "write",
             "read_region",
             "write_region",
@@ -39,7 +40,7 @@ const HOT: &[(&str, &[&str])] = &[
             "read_ports",
             "copy_region",
             "copy_region_with",
-            "copy_interleaved",
+            "copy_per_access",
             "copy_bank_runs",
             "scatter_range",
         ],
@@ -49,11 +50,14 @@ const HOT: &[(&str, &[&str])] = &[
         &["read_region_into", "write_region", "copy_region"],
     ),
     ("crates/polymem/src/banded.rs", &["band", "spmv"]),
-    ("crates/polymem/src/region.rs", &["plan_accesses"]),
+    (
+        "crates/polymem/src/region.rs",
+        &["plan_accesses", "check_bounds"],
+    ),
     (
         "crates/polymem/src/region_plan.rs",
         &[
-            "check_bounds",
+            "copy_strided",
             "gather_into",
             "scatter_from",
             "copy_store_runs_within",

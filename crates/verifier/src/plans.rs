@@ -8,11 +8,13 @@
 //!
 //! * re-proves the permutation structure via [`AccessPlan::validate`] /
 //!   [`RegionPlan::validate`] (in-bounds gather/scatter slots, bank-disjoint
-//!   lanes per cycle, `afold` bijective onto the canonical order,
-//!   rectangular `bank_elems` cover);
-//! * cross-checks every cached lane against the ground-truth model (MAF
-//!   bank + addressing function), so a corrupted cache entry cannot hide
-//!   behind self-consistency;
+//!   lanes per cycle, segments tiling the canonical order exactly, every
+//!   bank serving one element per access, each bank-major segment inside
+//!   its bank);
+//! * cross-checks every cached lane — for region plans, every element the
+//!   replayed segments actually touch ([`RegionPlan::elements`]) — against
+//!   the ground-truth model (MAF bank + addressing function), so a
+//!   corrupted cache entry cannot hide behind self-consistency;
 //! * asserts cache keys stay collision-free (distinct classes map to
 //!   distinct keys) and reports raw 64-bit hash collisions of the
 //!   fast-path hasher as info;
@@ -26,7 +28,7 @@ use crate::schemes::GEOMETRIES;
 use polymem::plan::PlanKeyHasher;
 use polymem::{
     AccessPattern, AccessScheme, AddressingFunction, Agu, BankLayout, ModuleAssignment,
-    ParallelAccess, PlanCache, PlanKey, PolyMemError, Region, RegionPlanCache,
+    ParallelAccess, PlanCache, PlanKey, PolyMemError, Region, RegionPlan, RegionPlanCache,
     RegionPlanCacheStats, RegionShape,
 };
 use std::collections::HashMap;
@@ -288,27 +290,7 @@ fn check_region_plans(
                         ));
                         continue;
                     }
-                    // Ground-truth cross-check: canonical element c must
-                    // gather from exactly (MAF bank, addressing address).
-                    for (c, (i, j)) in region.coords_iter().expect("validated region").enumerate() {
-                        let want_bank = maf.assign_linear(i, j) as u32;
-                        let want_addr = afn.address(i, j) as isize;
-                        if plan.banks[c] != want_bank || base + plan.deltas[c] != want_addr {
-                            findings.push(Finding::new(
-                                "plans",
-                                Severity::Error,
-                                "plan-model-divergence",
-                                at.clone(),
-                                format!(
-                                    "element {c} at ({i},{j}) cached as bank {} addr {}, model \
-                                     wants bank {want_bank} addr {want_addr}",
-                                    plan.banks[c],
-                                    base + plan.deltas[c]
-                                ),
-                            ));
-                            break;
-                        }
-                    }
+                    check_against_model(&plan, &region, maf, afn, depth, &at, findings);
                 }
             }
         }
@@ -330,11 +312,12 @@ fn check_region_plans(
 }
 
 /// The plan proof under the alternate backing layout: compile every region
-/// class of one geometry against `AddrInterleaved` storage and re-prove
-/// the full structural invariant set — including that the run table still
-/// exactly tiles the (re-segmented) fold map. The main sweep covers
-/// `BankMajor`; this keeps the other layout's coalescing pass honest
-/// without doubling the lint's runtime across all geometries.
+/// class of one geometry against `AddrInterleaved` storage, re-prove the
+/// full structural invariant set — including that the (canonical-order)
+/// segments still exactly tile the region — and cross-check every element
+/// against the model. The main sweep covers `BankMajor`; this keeps the
+/// other layout's segmentation honest without doubling the lint's runtime
+/// across all geometries.
 fn check_interleaved_layout(out: &mut PlansOutput, findings: &mut Vec<Finding>) {
     let (p, q) = (2usize, 4usize);
     let n = p * q;
@@ -386,7 +369,11 @@ fn check_interleaved_layout(out: &mut PlansOutput, findings: &mut Vec<Finding>) 
                                              validation: {e}"
                                         ),
                                     ));
+                                    continue;
                                 }
+                                check_against_model(
+                                    &plan, &region, &maf, &afn, depth, &at, findings,
+                                );
                             }
                             Err(e) => findings.push(Finding::new(
                                 "plans",
@@ -402,6 +389,46 @@ fn check_interleaved_layout(out: &mut PlansOutput, findings: &mut Vec<Finding>) 
                     }
                 }
             }
+        }
+    }
+}
+
+/// Ground-truth cross-check of a region plan's replayed elements: every
+/// `(c, flat)` pair the segments expand to must land in exactly the MAF
+/// bank and addressing-function address of canonical element `c`.
+fn check_against_model(
+    plan: &RegionPlan,
+    region: &Region,
+    maf: &ModuleAssignment,
+    afn: &AddressingFunction,
+    depth: usize,
+    at: &str,
+    findings: &mut Vec<Finding>,
+) {
+    let coords: Vec<(usize, usize)> = region.coords_iter().expect("validated region").collect();
+    let (lanes, layout) = (plan.lanes, plan.layout);
+    let fbase = plan.flat_base(afn.address(region.i, region.j) as isize);
+    for (c, f) in plan.elements() {
+        let (i, j) = coords[c];
+        let want = (maf.assign_linear(i, j), afn.address(i, j));
+        let slot = (fbase + f) as usize;
+        let got = (
+            layout.bank_of(slot, lanes, depth),
+            layout.addr_of(slot, lanes, depth),
+        );
+        if got != want {
+            findings.push(Finding::new(
+                "plans",
+                Severity::Error,
+                "plan-model-divergence",
+                at,
+                format!(
+                    "element {c} at ({i},{j}) replays bank {} addr {}, model wants bank {} \
+                     addr {}",
+                    got.0, got.1, want.0, want.1
+                ),
+            ));
+            return;
         }
     }
 }
@@ -554,14 +581,23 @@ mod tests {
                 .unwrap();
         let base = afn.address(region.i, region.j) as isize;
         plan.validate(base, depth).unwrap();
+        // Swapping two segments' flat origins keeps the storage image as a
+        // set, so validation may pass; the model cross-check must not.
         let mut bad = plan.clone();
-        bad.fold.swap(0, 1);
-        assert!(
-            bad.validate(base, depth).is_err() || {
-                // A pure swap keeps the multiset; banks/deltas now disagree.
-                bad.banks.swap(0, 1);
-                false
-            }
-        );
+        let (f0, f1) = (bad.segments[0].flat0, bad.segments[1].flat0);
+        (bad.segments[0].flat0, bad.segments[1].flat0) = (f1, f0);
+        let mut findings = Vec::new();
+        if bad.validate(base, depth).is_ok() {
+            check_against_model(&bad, &region, &maf, &afn, depth, "swap", &mut findings);
+        } else {
+            findings.push(Finding::new(
+                "plans",
+                Severity::Error,
+                "plan-corrupt",
+                "swap",
+                "",
+            ));
+        }
+        assert!(!findings.is_empty());
     }
 }

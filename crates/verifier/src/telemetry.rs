@@ -65,7 +65,6 @@ const ATOMIC_SITES: &[&str] = &[
     "t.single_write(",
     "t.region_read(",
     "t.region_write(",
-    "t.region_write_banks(",
 ];
 
 /// Registry-surface tokens: each of these acquires the registry's

@@ -4,7 +4,8 @@
 //! hope about.
 
 use polymem::{
-    AccessPattern, AccessScheme, Crossbar, ParallelAccess, PolyMem, PolyMemConfig, PolyMemError,
+    AccessPattern, AccessScheme, ConcurrentPolyMem, Crossbar, ParallelAccess, PolyMem,
+    PolyMemConfig, PolyMemError, Region, RegionShape,
 };
 
 #[test]
@@ -63,6 +64,70 @@ fn out_of_bounds_access_reports_offender() {
         }
         other => panic!("wrong error: {other}"),
     }
+}
+
+#[test]
+fn oversize_regions_are_out_of_bounds_not_aborts() {
+    // Region extents are checked against the logical space before any
+    // plan is compiled or any buffer is sized by the region, so shapes
+    // far larger than the memory — or origins near usize::MAX — fail with
+    // OutOfBounds instead of overflowing or exhausting the allocator.
+    let cfg = PolyMemConfig::new(16, 16, 2, 4, AccessScheme::ReRo, 1).unwrap();
+    let mut seq = PolyMem::<u64>::new(cfg).unwrap();
+    let conc = ConcurrentPolyMem::<u64>::new(cfg).unwrap();
+    let data: Vec<u64> = (0..256).collect();
+    seq.load_row_major(&data).unwrap();
+    let shapes = [
+        RegionShape::Row { len: 1 << 40 },
+        RegionShape::Block {
+            rows: 1 << 16,
+            cols: 1 << 16,
+        },
+        RegionShape::Row { len: 8 },
+        RegionShape::SecondaryDiag { len: 8 },
+    ];
+    let origins = [
+        (0, 0),
+        (usize::MAX - 3, 0),
+        (0, usize::MAX - 3),
+        (usize::MAX, usize::MAX),
+    ];
+    let ok = Region::new("ok", 0, 8, RegionShape::Row { len: 8 });
+    let oob = |r: polymem::Result<()>| matches!(r, Err(PolyMemError::OutOfBounds { .. }));
+    for shape in shapes {
+        for (i, j) in origins {
+            let bad = Region::new("bad", i, j, shape);
+            if (shape, i, j) == (RegionShape::Row { len: 8 }, 0, 0) {
+                // The sweep's one legal placement. The secondary diagonal
+                // at the origin reaches left of column 0, so it stays in.
+                continue;
+            }
+            let ctx = format!("{shape:?} at ({i}, {j})");
+            assert!(oob(seq.read_region(0, &bad).map(|_| ())), "seq read {ctx}");
+            assert!(oob(seq.write_region(&bad, &[7; 8])), "seq write {ctx}");
+            assert!(oob(seq.copy_region(0, &bad, &ok)), "seq copy from {ctx}");
+            assert!(oob(seq.copy_region(0, &ok, &bad)), "seq copy to {ctx}");
+            assert!(oob(conc.read_region(&bad).map(|_| ())), "conc read {ctx}");
+            assert!(oob(conc.write_region(&bad, &[7; 8])), "conc write {ctx}");
+            assert!(oob(conc.copy_region(&bad, &ok)), "conc copy from {ctx}");
+            assert!(oob(conc.copy_region(&ok, &bad)), "conc copy to {ctx}");
+        }
+    }
+    assert_eq!(
+        seq.dump_row_major(),
+        data,
+        "failed region ops must not commit"
+    );
+    assert_eq!(
+        seq.region_plan_stats().misses,
+        1,
+        "only the load compiled a plan"
+    );
+    assert_eq!(
+        conc.region_plan_stats().misses,
+        0,
+        "no plan compiled for a bad region"
+    );
 }
 
 #[test]
