@@ -6,12 +6,18 @@
 
 use polymem::AccessScheme;
 use polymem_bench::render_table;
-use stream_bench::{StreamApp, StreamLayout, StreamOp, PAPER_STREAM_FREQ_MHZ};
+use stream_bench::{Design, StreamApp, StreamLayout, StreamOp, PAPER_STREAM_FREQ_MHZ};
 
 fn measure(n: usize, latency: u64) -> (u64, f64) {
     let layout = StreamLayout::new(n, 512, 2, 4, AccessScheme::RoCo, 2).unwrap();
-    let mut app =
-        StreamApp::with_latency(StreamOp::Copy, layout, PAPER_STREAM_FREQ_MHZ, latency).unwrap();
+    let mut app = StreamApp::build(
+        Design::Fused,
+        StreamOp::Copy,
+        layout,
+        PAPER_STREAM_FREQ_MHZ,
+        latency,
+    )
+    .unwrap();
     let a: Vec<f64> = (0..n).map(|k| k as f64).collect();
     let z = vec![0.0; n];
     app.load(&a, &z, &z).unwrap();

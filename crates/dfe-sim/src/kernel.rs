@@ -4,6 +4,12 @@
 //! Within a tick it may pop from input streams, compute, and push to output
 //! streams, honouring FIFO backpressure. This mirrors MaxJ's model where a
 //! kernel advances when its inputs are available and outputs have room.
+//!
+//! Each kernel also reports the streams it holds ([`Kernel::endpoints`]);
+//! [`stream_graph`] joins those reports into the design's live wiring, so
+//! checks read the topology from the kernels that run.
+
+use crate::stream::StreamRef;
 
 /// A dataflow kernel.
 pub trait Kernel {
@@ -61,6 +67,103 @@ pub trait Kernel {
     fn skip_to(&mut self, from: u64, to: u64) {
         let _ = (from, to);
     }
+
+    /// The streams this kernel pops from and pushes to, built from the
+    /// stream handles it holds. Default: none (the kernel adds nothing to
+    /// [`stream_graph`]).
+    fn endpoints(&self) -> Vec<Endpoint> {
+        Vec::new()
+    }
+}
+
+/// One end of a stream, as seen by the kernel holding it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Endpoint {
+    /// The FIFO's identity: the address of its shared cell.
+    pub fifo: usize,
+    /// The FIFO's name ([`crate::stream::Fifo::name`]).
+    pub stream: String,
+    /// Whether the kernel pushes (`true`) or pops (`false`).
+    pub output: bool,
+    /// For outputs: whether a pipeline register sits between the kernel's
+    /// computation and the push, so a consumer waiting on this stream is
+    /// never waiting on work it must itself unblock this cycle.
+    pub registered: bool,
+}
+
+impl Endpoint {
+    fn of<T>(s: &StreamRef<T>, output: bool, registered: bool) -> Self {
+        Self {
+            fifo: std::rc::Rc::as_ptr(s) as *const () as usize,
+            stream: s.borrow().name().to_string(),
+            output,
+            registered,
+        }
+    }
+
+    /// A stream the kernel pops from.
+    pub fn input<T>(s: &StreamRef<T>) -> Self {
+        Self::of(s, false, false)
+    }
+
+    /// A stream the kernel pushes to straight from this tick's work.
+    pub fn output<T>(s: &StreamRef<T>) -> Self {
+        Self::of(s, true, false)
+    }
+
+    /// A stream the kernel pushes to from a pipeline register.
+    pub fn registered_output<T>(s: &StreamRef<T>) -> Self {
+        Self::of(s, true, true)
+    }
+}
+
+/// One producer→consumer stream of a live design.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StreamEdge {
+    /// The FIFO's identity (see [`Endpoint::fifo`]); two edges with the
+    /// same `fifo` share one queue.
+    pub fifo: usize,
+    /// Stream name.
+    pub stream: String,
+    /// Kernel that pushes into the stream.
+    pub producer: String,
+    /// Kernel that pops from the stream.
+    pub consumer: String,
+    /// Whether the producer pushes from a pipeline register, breaking any
+    /// combinational wait-cycle through this edge.
+    pub registered: bool,
+}
+
+/// Join the kernels' [`Kernel::endpoints`] by FIFO identity: one edge per
+/// (producer, consumer) pair of each FIFO, in first-seen order. A FIFO seen
+/// from only one side (an unused port) adds no edge.
+pub fn stream_graph<'k>(kernels: impl IntoIterator<Item = &'k dyn Kernel>) -> Vec<StreamEdge> {
+    let ends: Vec<(String, Endpoint)> = kernels
+        .into_iter()
+        .flat_map(|k| {
+            let name = k.name().to_string();
+            k.endpoints().into_iter().map(move |e| (name.clone(), e))
+        })
+        .collect();
+    let mut edges = Vec::new();
+    for (n, (_, first)) in ends.iter().enumerate() {
+        if ends[..n].iter().any(|(_, e)| e.fifo == first.fifo) {
+            continue;
+        }
+        let same = || ends.iter().filter(|(_, e)| e.fifo == first.fifo);
+        for (producer, out) in same().filter(|(_, e)| e.output) {
+            for (consumer, _) in same().filter(|(_, e)| !e.output) {
+                edges.push(StreamEdge {
+                    fifo: first.fifo,
+                    stream: first.stream.clone(),
+                    producer: producer.clone(),
+                    consumer: consumer.clone(),
+                    registered: out.registered,
+                });
+            }
+        }
+    }
+    edges
 }
 
 /// A simple function-backed kernel, convenient for tests and small designs.
@@ -162,6 +265,47 @@ mod tests {
             assert!(!k.is_idle());
         }
         assert_eq!(count, 5);
+    }
+
+    struct Ends(&'static str, Vec<Endpoint>);
+
+    impl Kernel for Ends {
+        fn name(&self) -> &str {
+            self.0
+        }
+        fn tick(&mut self, _cycle: u64) {}
+        fn endpoints(&self) -> Vec<Endpoint> {
+            self.1.clone()
+        }
+    }
+
+    #[test]
+    fn stream_graph_joins_endpoints_by_fifo_identity() {
+        let req = crate::stream::stream::<u64>("req", 4);
+        let resp = crate::stream::stream::<u64>("resp", 4);
+        let unused = crate::stream::stream::<u64>("req", 4);
+        let ctrl = Ends("ctrl", vec![Endpoint::output(&req), Endpoint::input(&resp)]);
+        let mem = Ends(
+            "mem",
+            vec![
+                Endpoint::input(&req),
+                Endpoint::registered_output(&resp),
+                Endpoint::input(&unused),
+            ],
+        );
+        let g = stream_graph([&ctrl as &dyn Kernel, &mem]);
+        assert_eq!(g.len(), 2, "the one-sided FIFO adds no edge: {g:?}");
+        assert_eq!(
+            (
+                g[0].stream.as_str(),
+                g[0].producer.as_str(),
+                g[0].consumer.as_str()
+            ),
+            ("req", "ctrl", "mem")
+        );
+        assert!(!g[0].registered);
+        assert_eq!((g[1].producer.as_str(), g[1].registered), ("mem", true));
+        assert_ne!(g[0].fifo, g[1].fifo);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! * [`stream`](mod@stream) — bounded typed FIFOs with backpressure (the edges of a
 //!   MaxJ dataflow graph);
 //! * [`kernel`] — the ticked-kernel trait, plus [`kernel::DelayLine`]
-//!   pipeline registers;
+//!   pipeline registers and the live stream graph ([`kernel::stream_graph`])
+//!   joined from each kernel's reported endpoints;
 //! * [`manager`] — wires kernels together and drives the clock
 //!   deterministically;
 //! * [`sched`] — the event-driven scheduling engine: kernels declare their
@@ -41,7 +42,7 @@ pub mod vcd;
 pub use clock::SimClock;
 pub use components::{select, Demux, Generator, Mux, Select, Sink};
 pub use dram::{Dram, DramParams};
-pub use kernel::{DelayLine, FnKernel, Kernel};
+pub use kernel::{stream_graph, DelayLine, Endpoint, FnKernel, Kernel, StreamEdge};
 pub use lmem_stream::{AccessCostModel, DramLoader};
 pub use manager::{Manager, StallReport};
 pub use pcie::{Host, HostStats, PcieLink};

@@ -10,7 +10,7 @@
 //! parity testing and host-time baselines.
 
 use crate::clock::SimClock;
-use crate::kernel::Kernel;
+use crate::kernel::{self, Kernel, StreamEdge};
 use crate::sched::{self, SchedulerMode, SchedulerStats, Step};
 use crate::trace::Tracer;
 use polymem::tracing::{NameId, TraceJournal, TraceWriter};
@@ -133,6 +133,12 @@ impl Manager {
     /// Names of registered kernels, in tick order.
     pub fn kernel_names(&self) -> Vec<&str> {
         self.kernels.iter().map(|k| k.name()).collect()
+    }
+
+    /// The design's live stream wiring, joined from the registered
+    /// kernels' endpoints (see [`kernel::stream_graph`]).
+    pub fn stream_graph(&self) -> Vec<StreamEdge> {
+        kernel::stream_graph(self.kernels.iter().map(|k| k.as_ref()))
     }
 
     fn all_idle(&self) -> bool {

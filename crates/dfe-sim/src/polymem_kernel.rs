@@ -7,7 +7,7 @@
 //! Within a cycle all reads observe the state *before* that cycle's write
 //! commits (read-old port semantics).
 
-use crate::kernel::{DelayLine, Kernel};
+use crate::kernel::{DelayLine, Endpoint, Kernel};
 use crate::stream::StreamRef;
 use crate::trace::Tracer;
 use polymem::telemetry::{Counter, TelemetryRegistry};
@@ -844,6 +844,25 @@ impl Kernel for PolyMemKernel {
         }
         Some(parts.join(", "))
     }
+
+    fn endpoints(&self) -> Vec<Endpoint> {
+        // Every response leaves through a delay line (read pipelines,
+        // region and copy engines): `tick` delivers before it accepts, so a
+        // response pushed this cycle was computed on an earlier one.
+        let mut ends: Vec<Endpoint> = self.read_req.iter().map(Endpoint::input).collect();
+        ends.extend(self.read_resp.iter().map(Endpoint::registered_output));
+        ends.push(Endpoint::input(&self.write_req));
+        ends.extend(self.region_req.iter().map(Endpoint::input));
+        ends.extend(self.region_resp.iter().map(Endpoint::registered_output));
+        ends.extend(self.region_write_req.iter().map(Endpoint::input));
+        ends.extend(self.region_copy_req.iter().map(Endpoint::input));
+        ends.extend(
+            self.region_copy_resp
+                .iter()
+                .map(Endpoint::registered_output),
+        );
+        ends
+    }
 }
 
 #[cfg(test)]
@@ -1475,6 +1494,21 @@ mod tests {
             .collect();
         assert_eq!(idle.len(), 1, "tick + 10k skipped cycles = one idle span");
         assert_eq!(idle[0].cycles(), 10_001);
+    }
+
+    #[test]
+    fn endpoints_register_every_response() {
+        let cfg = PolyMemConfig::new(16, 16, 2, 4, AccessScheme::RoCo, 2).unwrap();
+        let rq: Vec<_> = (0..2).map(|p| stream(format!("rq{p}"), 4)).collect();
+        let rs: Vec<_> = (0..2).map(|p| stream(format!("rs{p}"), 4)).collect();
+        let mut k = PolyMemKernel::new("polymem", cfg, 14, rq, rs, stream("wq", 4)).unwrap();
+        k.attach_region_port(stream("region-req", 2), stream("region-resp", 2));
+        let ends = k.endpoints();
+        // 2 read ports x (req, resp) + write + region (req, resp).
+        assert_eq!(ends.len(), 7);
+        for e in &ends {
+            assert_eq!(e.output, e.registered, "{e:?}");
+        }
     }
 
     #[test]

@@ -15,18 +15,20 @@
 //! repeated (1000 runs in the paper) for resolution; the simulator verifies
 //! run-to-run determinism instead of re-simulating all 1000.
 
-use crate::burst::BurstController;
-use crate::controller::{Controller, ControllerState, StateRef};
+use crate::burst::{burst_parts, BurstTelemetry, RegionPorts};
+use crate::controller::{chunk_parts, Controller, ControllerState, StateRef};
 use crate::layout::StreamLayout;
+use crate::modular;
 use crate::op::StreamOp;
 use dfe_sim::clock::SimClock;
-use dfe_sim::kernel::Kernel;
+use dfe_sim::kernel::{stream_graph, Kernel, StreamEdge};
 use dfe_sim::pcie::{Host, PcieLink};
 use dfe_sim::polymem_kernel::{PolyMemKernel, PAPER_READ_LATENCY};
 use dfe_sim::sched::{self, SchedulerMode, SchedulerStats, Step};
 use dfe_sim::stream::stream;
 use polymem::telemetry::{Counter, Histogram, TelemetryRegistry};
 use polymem::tracing::{NameId, TraceJournal, TraceWriter};
+use polymem::PolyMemError;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -94,87 +96,48 @@ impl StageTiming {
     }
 }
 
-/// The compute-stage driver: the per-chunk Fig. 9 Controller FSM, or the
-/// region-burst controller that streams whole vectors per request.
-enum Driver {
-    PerChunk(Controller),
-    Burst(BurstController),
+/// The four Fig. 9 compute designs [`StreamApp::build`] assembles.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Design {
+    /// The paper's measured design: one controller kernel issues per-chunk
+    /// reads and writes on the memory's scalar ports.
+    Fused,
+    /// One controller kernel streams whole-region bursts on the memory's
+    /// region ports (see [`crate::burst`]).
+    FusedBurst,
+    /// The §III-C modular design: issue, compute and write kernels, per
+    /// chunk (see [`crate::modular`]).
+    Modular,
+    /// The modular design moving whole-region bursts.
+    ModularBurst,
 }
 
-impl Driver {
-    fn pass_done(&self) -> bool {
-        match self {
-            Driver::PerChunk(c) => c.pass_done(),
-            Driver::Burst(b) => b.pass_done(),
-        }
-    }
+impl Design {
+    /// Every design, fused first.
+    pub const ALL: [Design; 4] = [
+        Design::Fused,
+        Design::FusedBurst,
+        Design::Modular,
+        Design::ModularBurst,
+    ];
 
-    fn begin_pass(&mut self) {
-        if let Driver::Burst(b) = self {
-            b.begin_pass();
-        }
-    }
-
-    /// Work units per pass (chunks or bursts), for the wedge diagnostic.
-    fn units(&self) -> usize {
-        match self {
-            Driver::PerChunk(c) => c.chunks(),
-            Driver::Burst(b) => b.bursts(),
-        }
-    }
-}
-
-/// Both controller flavours are kernels, so the driver is one too — this is
-/// what lets [`StreamApp::run_pass`] hand the whole design to the shared
-/// [`sched::advance`] engine.
-impl Kernel for Driver {
-    fn name(&self) -> &str {
-        match self {
-            Driver::PerChunk(c) => c.name(),
-            Driver::Burst(b) => b.name(),
-        }
-    }
-
-    fn tick(&mut self, cycle: u64) {
-        match self {
-            Driver::PerChunk(c) => c.tick(cycle),
-            Driver::Burst(b) => b.tick(cycle),
-        }
-    }
-
-    fn is_idle(&self) -> bool {
-        self.pass_done()
-    }
-
-    fn next_event(&self) -> Option<u64> {
-        match self {
-            Driver::PerChunk(c) => c.next_event(),
-            Driver::Burst(b) => b.next_event(),
-        }
-    }
-
-    fn skip_to(&mut self, from: u64, to: u64) {
-        match self {
-            Driver::PerChunk(c) => c.skip_to(from, to),
-            Driver::Burst(b) => b.skip_to(from, to),
-        }
-    }
-
-    fn busy_reason(&self) -> Option<String> {
-        match self {
-            Driver::PerChunk(c) => c.busy_reason(),
-            Driver::Burst(b) => b.busy_reason(),
-        }
+    /// Whether the design drives the memory's region ports.
+    pub fn is_burst(self) -> bool {
+        matches!(self, Design::FusedBurst | Design::ModularBurst)
     }
 }
 
-/// The assembled design: PolyMem kernel + Controller + host endpoint.
+/// The assembled design: PolyMem kernel + the design's controller
+/// kernel(s) + host endpoint.
 pub struct StreamApp {
     op: StreamOp,
+    design: Design,
     layout: StreamLayout,
     clock: SimClock,
-    driver: Driver,
     polymem: PolyMemKernel,
+    /// The design's other kernels in tick order; the memory ticks after
+    /// the first of them.
+    stages: Vec<Controller>,
     state: StateRef,
     host: Host,
     mode: SchedulerMode,
@@ -184,47 +147,29 @@ pub struct StreamApp {
 }
 
 impl StreamApp {
-    /// Build the design for `op` on `layout` at `freq_mhz` with the paper's
-    /// 14-cycle read latency.
+    /// Build the fused per-chunk design for `op` on `layout` at `freq_mhz`
+    /// with the paper's 14-cycle read latency.
     pub fn new(op: StreamOp, layout: StreamLayout, freq_mhz: f64) -> polymem::Result<Self> {
-        Self::with_latency(op, layout, freq_mhz, PAPER_READ_LATENCY)
+        Self::build(Design::Fused, op, layout, freq_mhz, PAPER_READ_LATENCY)
     }
 
-    /// Build with an explicit read latency (for latency-sensitivity studies).
-    pub fn with_latency(
-        op: StreamOp,
-        layout: StreamLayout,
-        freq_mhz: f64,
-        read_latency: u64,
-    ) -> polymem::Result<Self> {
-        Self::build(op, layout, freq_mhz, read_latency, false)
-    }
-
-    /// Build the **region-burst** design for `op` on `layout`: the compute
-    /// stage issues whole-region bursts on the PolyMem kernel's region
-    /// ports instead of per-chunk requests (see [`crate::burst`]). Cycle
-    /// accounting is identical; the host-side modelling cost per pass is
-    /// not.
+    /// Build the fused **region-burst** design for `op` on `layout`: the
+    /// compute stage issues whole-region bursts on the PolyMem kernel's
+    /// region ports instead of per-chunk requests (see [`crate::burst`]).
+    /// Cycle accounting is identical; the host-side modelling cost per
+    /// pass is not.
     pub fn new_burst(op: StreamOp, layout: StreamLayout, freq_mhz: f64) -> polymem::Result<Self> {
-        Self::with_latency_burst(op, layout, freq_mhz, PAPER_READ_LATENCY)
+        Self::build(Design::FusedBurst, op, layout, freq_mhz, PAPER_READ_LATENCY)
     }
 
-    /// Build the region-burst design with an explicit read latency.
-    pub fn with_latency_burst(
+    /// Build `design` for `op` on `layout` at `freq_mhz` with an explicit
+    /// read latency (latency-sensitivity studies, the modular ablation).
+    pub fn build(
+        design: Design,
         op: StreamOp,
         layout: StreamLayout,
         freq_mhz: f64,
         read_latency: u64,
-    ) -> polymem::Result<Self> {
-        Self::build(op, layout, freq_mhz, read_latency, true)
-    }
-
-    fn build(
-        op: StreamOp,
-        layout: StreamLayout,
-        freq_mhz: f64,
-        read_latency: u64,
-        burst: bool,
     ) -> polymem::Result<Self> {
         let ports = layout.config.read_ports;
         let rq: Vec<_> = (0..ports)
@@ -243,34 +188,30 @@ impl StreamApp {
             Rc::clone(&wq),
         )?;
         let state: StateRef = Rc::new(RefCell::new(ControllerState::default()));
-        let driver = if burst {
-            let region_req = stream("region-req", 4);
-            let region_resp = stream("region-resp", 2);
-            let copy_req = stream("copy-req", 4);
-            let copy_resp = stream("copy-resp", 2);
-            let burst_wq = stream("region-write-req", 2);
-            polymem.attach_region_port(Rc::clone(&region_req), Rc::clone(&region_resp));
-            polymem.attach_region_copy_port(Rc::clone(&copy_req), Rc::clone(&copy_resp));
-            polymem.attach_region_write_port(Rc::clone(&burst_wq));
-            Driver::Burst(BurstController::new(
-                op,
-                layout,
-                Rc::clone(&state),
-                copy_req,
-                copy_resp,
-                region_req,
-                region_resp,
-                burst_wq,
-            ))
-        } else {
-            Driver::PerChunk(Controller::new(op, layout, Rc::clone(&state), rq, rs, wq))
+        let stages = match design {
+            Design::Fused => vec![Controller::new(op, layout, Rc::clone(&state), rq, rs, wq)],
+            Design::FusedBurst => {
+                let region = RegionPorts::attach(&mut polymem);
+                vec![Controller::burst(op, &layout, Rc::clone(&state), &region)]
+            }
+            Design::Modular => {
+                let parts = chunk_parts(op, &layout, &rq, &rs, wq, stream("modular-result", 8));
+                modular::split("modular", op, &state, layout.a.chunks(), 1, parts)
+            }
+            Design::ModularBurst => {
+                let region = RegionPorts::attach(&mut polymem);
+                let mid = stream("modular-burst-result", 2);
+                let (parts, units) = burst_parts(op, &layout, &region, mid);
+                modular::split("modular-burst", op, &state, units, op.reads(), parts)
+            }
         };
         Ok(Self {
             op,
+            design,
             layout,
             clock: SimClock::new(freq_mhz),
-            driver,
             polymem,
+            stages,
             state,
             host: Host::new(PcieLink::vectis()),
             mode: SchedulerMode::default(),
@@ -299,14 +240,17 @@ impl StreamApp {
     }
 
     /// Wire the whole design into `registry`: the PolyMem kernel's cycle
-    /// attribution and datapath counters, the burst controller's occupancy
-    /// histogram (burst mode only), and the app's own per-pass cycle and
+    /// attribution and datapath counters, the burst occupancy histogram
+    /// (burst designs only), and the app's own per-pass cycle and
     /// bandwidth histograms. Attach before the first [`Self::run_pass`] so
     /// the attribution buckets cover every simulated cycle.
     pub fn attach_telemetry(&mut self, registry: &TelemetryRegistry) {
         self.polymem.attach_telemetry(registry);
-        if let Driver::Burst(b) = &mut self.driver {
-            b.attach_telemetry(registry);
+        if self.design.is_burst() {
+            let t = BurstTelemetry::new(registry, self.op);
+            for stage in &mut self.stages {
+                stage.tlm = Some(t.clone());
+            }
         }
         let labels = vec![("op", self.op.name().to_string())];
         self.tlm = Some(AppTelemetry {
@@ -349,6 +293,22 @@ impl StreamApp {
         self.op
     }
 
+    /// Every kernel of the design, in tick order.
+    pub(crate) fn kernels(&self) -> impl Iterator<Item = &dyn Kernel> {
+        let (first, rest) = self.stages.split_at(1);
+        first
+            .iter()
+            .map(|k| k as &dyn Kernel)
+            .chain([&self.polymem as &dyn Kernel])
+            .chain(rest.iter().map(|k| k as &dyn Kernel))
+    }
+
+    /// The design's live stream wiring, joined from its kernels' endpoints
+    /// (see [`dfe_sim::kernel::stream_graph`]). Computed on demand.
+    pub fn stream_graph(&self) -> Vec<StreamEdge> {
+        stream_graph(self.kernels())
+    }
+
     /// The memory layout.
     pub fn layout(&self) -> &StreamLayout {
         &self.layout
@@ -359,12 +319,19 @@ impl StreamApp {
         self.host.stats()
     }
 
-    /// **Load stage**: fill A, B and C with the given values (lengths must
-    /// equal the layout's vector length). Returns the stage's host time in ns.
+    /// **Load stage**: fill A, B and C with the given values. Returns the
+    /// stage's host time in ns, or [`PolyMemError::WrongLaneCount`] — with
+    /// memory untouched — unless every length equals the layout's vector
+    /// length.
     pub fn load(&mut self, a: &[f64], b: &[f64], c: &[f64]) -> polymem::Result<f64> {
         let n = self.layout.a.len;
+        if let Some(v) = [a, b, c].into_iter().find(|v| v.len() != n) {
+            return Err(PolyMemError::WrongLaneCount {
+                got: v.len(),
+                expected: n,
+            });
+        }
         for (vals, lay) in [(a, self.layout.a), (b, self.layout.b), (c, self.layout.c)] {
-            assert_eq!(vals.len(), n, "vector length mismatch");
             for (k, &v) in vals.iter().enumerate() {
                 let (i, j) = lay.coord(k);
                 self.polymem.mem().set(i, j, v.to_bits())?;
@@ -377,33 +344,35 @@ impl StreamApp {
     /// Returns an error-free count only if the memory accepted every access
     /// (invalid accesses are surfaced via [`Self::errors`]).
     pub fn run_pass(&mut self) -> u64 {
-        {
-            let mut st = self.state.borrow_mut();
-            *st = ControllerState {
-                running: true,
-                ..Default::default()
-            };
-        }
-        self.driver.begin_pass();
+        *self.state.borrow_mut() = ControllerState {
+            running: true,
+            ..Default::default()
+        };
         let start = self.clock.cycle();
         let max = 4 * self.layout.a.chunks() as u64 + 1000;
-        while !(self.driver.pass_done() && self.polymem.pipelines_empty()) {
+        let units = self.stages[0].units();
+        let (first, rest) = self.stages.split_at_mut(1);
+        let mut kernels: Vec<&mut dyn Kernel> = first
+            .iter_mut()
+            .map(|k| k as &mut dyn Kernel)
+            .chain([&mut self.polymem as &mut dyn Kernel])
+            .chain(rest.iter_mut().map(|k| k as &mut dyn Kernel))
+            .collect();
+        // The pass ends once the last unit is written and the memory (slot
+        // 1) has drained every request and pipeline.
+        while self.state.borrow().running || !kernels[1].is_idle() {
+            let before = self.clock.cycle();
+            if let Some(tr) = &self.trc {
+                tr.journal.set_cycle(before);
+            }
             match self.mode {
                 SchedulerMode::Ticked => {
-                    let c = self.clock.cycle();
-                    if let Some(tr) = &self.trc {
-                        tr.journal.set_cycle(c);
+                    for k in kernels.iter_mut() {
+                        k.tick(before);
                     }
-                    self.driver.tick(c);
-                    self.polymem.tick(c);
                     self.clock.tick();
                 }
                 SchedulerMode::EventDriven => {
-                    let before = self.clock.cycle();
-                    if let Some(tr) = &self.trc {
-                        tr.journal.set_cycle(before);
-                    }
-                    let mut kernels: [&mut dyn Kernel; 2] = [&mut self.driver, &mut self.polymem];
                     let step = sched::advance(
                         &mut self.clock,
                         &mut kernels,
@@ -421,7 +390,7 @@ impl StreamApp {
                     "STREAM pass wedged after {} cycles ({} of {} units written)",
                     max,
                     self.state.borrow().written,
-                    self.driver.units()
+                    units
                 );
             }
         }
@@ -482,10 +451,7 @@ impl StreamApp {
     /// **Offload stage**: read back the op's destination vector. Returns
     /// (values, host time ns).
     pub fn offload(&mut self) -> (Vec<f64>, f64) {
-        let lay = match self.op {
-            StreamOp::Copy => self.layout.c,
-            _ => self.layout.a,
-        };
+        let (_, _, lay) = self.op.route(self.layout.a, self.layout.b, self.layout.c);
         let n = lay.len;
         let mut out = Vec::with_capacity(n);
         for k in 0..n {
@@ -505,12 +471,9 @@ impl StreamApp {
 
 /// Scalar reference implementation for verification.
 pub fn scalar_reference(op: StreamOp, a: &[f64], b: &[f64], c: &[f64]) -> Vec<f64> {
-    match op {
-        StreamOp::Copy => a.to_vec(),
-        StreamOp::Scale(_) => b.iter().map(|&x| op.apply(x, 0.0)).collect(),
-        StreamOp::Sum | StreamOp::Triad(_) => {
-            b.iter().zip(c).map(|(&x, &y)| op.apply(x, y)).collect()
-        }
+    match op.route(a, b, c) {
+        (x, None, _) => x.iter().map(|&x| op.apply(x, 0.0)).collect(),
+        (x, Some(y), _) => x.iter().zip(y).map(|(&x, &y)| op.apply(x, y)).collect(),
     }
 }
 
@@ -600,7 +563,8 @@ mod tests {
     fn latency_affects_fixed_cost_not_steady_state() {
         let mk = |lat| {
             let layout = StreamLayout::new(2048, 64, 2, 4, AccessScheme::RoCo, 2).unwrap();
-            let mut app = StreamApp::with_latency(StreamOp::Copy, layout, 120.0, lat).unwrap();
+            let mut app =
+                StreamApp::build(Design::Fused, StreamOp::Copy, layout, 120.0, lat).unwrap();
             let (a, b, c) = vectors(2048);
             app.load(&a, &b, &c).unwrap();
             app.measure(1).cycles_per_run
@@ -864,6 +828,125 @@ mod tests {
             Some(dropped)
         );
         assert_eq!(journal.snapshot().dropped, dropped);
+    }
+
+    /// One verified pass of `design` x `op` on `layout` under `mode`.
+    fn pass_cycles(design: Design, op: StreamOp, layout: StreamLayout, mode: SchedulerMode) -> u64 {
+        let mut app = StreamApp::build(design, op, layout, 120.0, PAPER_READ_LATENCY).unwrap();
+        app.set_scheduler_mode(mode);
+        let (a, b, c) = vectors(layout.a.len);
+        app.load(&a, &b, &c).unwrap();
+        let cycles = app.run_pass();
+        assert!(app.errors().is_empty(), "memory errors: {:?}", app.errors());
+        assert_eq!(app.offload().0, scalar_reference(op, &a, &b, &c));
+        cycles
+    }
+
+    #[test]
+    fn every_design_pins_its_cycles() {
+        // Cycles per pass of the four designs as separately assembled
+        // before they shared this builder; `Design::ALL` order, for the
+        // 1-read ops (Copy, Scale) and the 2-read ops (Sum, Triad).
+        let pins = [
+            (
+                StreamLayout::paper_geometry(32 * 512).unwrap(),
+                [2063, 2064, 2064, 2065],
+                [2063, 4126, 2064, 4127],
+            ),
+            (
+                StreamLayout::new(1024, 64, 2, 4, AccessScheme::RoCo, 2).unwrap(),
+                [143, 144, 144, 145],
+                [143, 286, 144, 287],
+            ),
+        ];
+        let ops = [
+            StreamOp::Copy,
+            StreamOp::Scale(3.0),
+            StreamOp::Sum,
+            StreamOp::Triad(2.5),
+        ];
+        for (layout, one_read, two_read) in pins {
+            for (d, design) in Design::ALL.into_iter().enumerate() {
+                for op in ops {
+                    let want = if op.reads() == 1 {
+                        one_read[d]
+                    } else {
+                        two_read[d]
+                    };
+                    for mode in [SchedulerMode::Ticked, SchedulerMode::EventDriven] {
+                        assert_eq!(
+                            pass_cycles(design, op, layout, mode),
+                            want,
+                            "{design:?} {} {mode:?} at {} elements",
+                            op.name(),
+                            layout.a.len
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_kernel_reports_its_streams() {
+        let layout = StreamLayout::new(1024, 64, 2, 4, AccessScheme::RoCo, 2).unwrap();
+        for design in Design::ALL {
+            for op in [StreamOp::Copy, StreamOp::Triad(2.0)] {
+                let app = StreamApp::build(design, op, layout, 120.0, 14).unwrap();
+                let names: Vec<&str> = app.kernels().map(|k| k.name()).collect();
+                assert_eq!(names[1], "polymem", "{design:?}: memory ticks second");
+                for k in app.kernels().filter(|k| k.name() != "polymem") {
+                    assert!(
+                        !k.endpoints().is_empty(),
+                        "{design:?}: kernel {} reports no endpoints",
+                        k.name()
+                    );
+                }
+                let graph = app.stream_graph();
+                assert!(graph.len() >= 2, "{design:?} {}: {graph:?}", op.name());
+                for e in &graph {
+                    assert!(names.contains(&e.producer.as_str()));
+                    assert!(names.contains(&e.consumer.as_str()));
+                    assert_ne!(e.producer, e.consumer);
+                    assert_eq!(e.registered, e.producer == "polymem", "{e:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn per_chunk_graph_matches_builder_wiring() {
+        let layout = StreamLayout::new(512, 64, 2, 4, AccessScheme::RoCo, 2).unwrap();
+        let app = StreamApp::new(StreamOp::Triad(2.0), layout, 120.0).unwrap();
+        let g = app.stream_graph();
+        assert_eq!(g.len(), 5, "2 req + 2 resp + write: {g:?}");
+        assert!(g.iter().any(|e| e.stream == "read-req-1" && !e.registered));
+        assert!(g.iter().any(|e| e.stream == "read-resp-0" && e.registered));
+        assert!(g
+            .iter()
+            .all(|e| e.producer != e.consumer && !e.stream.is_empty()));
+        // Copy reads one port: the second port's streams have one end each
+        // and add no edge.
+        let copy = StreamApp::new(StreamOp::Copy, layout, 120.0).unwrap();
+        assert_eq!(copy.stream_graph().len(), 3);
+    }
+
+    #[test]
+    fn burst_graph_registers_every_response() {
+        let layout = StreamLayout::new(512, 64, 2, 4, AccessScheme::RoCo, 2).unwrap();
+        let g: Vec<_> = [StreamOp::Copy, StreamOp::Triad(2.0)]
+            .into_iter()
+            .flat_map(|op| {
+                StreamApp::new_burst(op, layout, 120.0)
+                    .unwrap()
+                    .stream_graph()
+            })
+            .collect();
+        assert_eq!(g.len(), 5, "copy req/resp + region req/resp/write: {g:?}");
+        for e in &g {
+            assert_eq!(e.registered, e.stream.ends_with("-resp"));
+            assert!([e.producer.as_str(), e.consumer.as_str()].contains(&"stream-burst-controller"));
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! access per cycle — a faithful model of Fig. 9, but on the CPU every chunk
 //! pays a plan lookup, a bounds check and a FIFO round-trip. The hardware
 //! controller does none of that in steady state: once the AGU is programmed
-//! it *streams the burst*. [`BurstController`] is that mode on the
+//! it *streams the burst*. The burst controller is that mode on the
 //! simulator: each vector is covered by a handful of [`Region`]s (usually
 //! one `Block`, see [`crate::region_copy::vector_regions`]), and the
 //! controller issues whole-region bursts on the PolyMem kernel's region
@@ -23,329 +23,199 @@
 //! burst mode removes is the per-chunk modelling overhead on the host,
 //! which is exactly the gap `BENCH_stream_region.json` measures.
 
-use crate::controller::StateRef;
-use crate::layout::StreamLayout;
+use crate::controller::{Compute, Controller, ControllerState, Issue, Part, StateRef, Write};
+use crate::layout::{StreamLayout, VectorLayout};
 use crate::op::StreamOp;
 use crate::region_copy::vector_regions;
-use dfe_sim::kernel::Kernel;
+use dfe_sim::kernel::Endpoint;
 use dfe_sim::polymem_kernel::{
-    RegionCopyRequest, RegionCopyResponse, RegionRequest, RegionResponse, RegionWriteRequest,
+    PolyMemKernel, RegionCopyRequest, RegionCopyResponse, RegionRequest, RegionResponse,
+    RegionWriteRequest,
 };
-use dfe_sim::stream::StreamRef;
+use dfe_sim::stream::{stream, StreamRef};
 use polymem::telemetry::{Counter, Histogram, TelemetryRegistry};
 use polymem::Region;
+use std::rc::Rc;
 
 /// Bucket bounds for the in-flight-burst occupancy histogram: real covers
 /// are a handful of regions, so small powers of two resolve the whole range.
 static OUTSTANDING_BOUNDS: [u64; 6] = [1, 2, 4, 8, 16, 32];
 
-/// Per-event controller telemetry: how many bursts are in flight each time
-/// one is issued or retired, plus the issue count itself. Observations
-/// happen on *events* (issue / completion), not every tick, so an idle
-/// controller costs nothing.
-struct BurstTelemetry {
+/// Per-event burst telemetry: how many bursts are in flight each time one
+/// is issued or retired, plus the issue count itself. Observations happen
+/// on *events* (issue / completion), not every tick, so an idle controller
+/// costs nothing. One instance is shared by every kernel of a design.
+#[derive(Clone)]
+pub(crate) struct BurstTelemetry {
     outstanding: Histogram,
     issued: Counter,
 }
 
 impl BurstTelemetry {
-    fn observe(&self, issued: usize, written: usize) {
-        self.outstanding
-            .observe(issued.saturating_sub(written) as u64);
-    }
-}
-
-/// The burst-mode compute-stage controller.
-///
-/// Progress is tracked in the shared [`crate::controller::ControllerState`]
-/// with burst (region) granularity: `issued`/`written` count bursts, and a
-/// pass covers [`BurstController::bursts`] of them.
-pub struct BurstController {
-    op: StreamOp,
-    /// First-operand cover (A for Copy, B otherwise), in vector order.
-    src: Vec<Region>,
-    /// Second-operand cover (C), used by the 2-read ops.
-    src2: Vec<Region>,
-    /// Destination cover (C for Copy, A otherwise).
-    dst: Vec<Region>,
-    state: StateRef,
-    copy_req: StreamRef<RegionCopyRequest>,
-    copy_resp: StreamRef<RegionCopyResponse>,
-    region_req: StreamRef<RegionRequest>,
-    region_resp: StreamRef<RegionResponse>,
-    write_req: StreamRef<RegionWriteRequest>,
-    /// Region read requests issued this pass (compute ops only).
-    reads_issued: usize,
-    /// First-operand burst awaiting its partner (2-read ops only).
-    stash: Option<Vec<u64>>,
-    /// Computed burst held back by write-FIFO backpressure.
-    pending_write: Option<(usize, Vec<u64>)>,
-    /// Occupancy/issue telemetry, when attached.
-    tlm: Option<BurstTelemetry>,
-}
-
-impl BurstController {
-    /// Build a burst controller for `op` over `layout`.
-    ///
-    /// The streams are the PolyMem kernel's region read, fused-copy and
-    /// region-write ports (attach them all; Copy uses the copy port, the
-    /// compute ops use read + write).
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        op: StreamOp,
-        layout: StreamLayout,
-        state: StateRef,
-        copy_req: StreamRef<RegionCopyRequest>,
-        copy_resp: StreamRef<RegionCopyResponse>,
-        region_req: StreamRef<RegionRequest>,
-        region_resp: StreamRef<RegionResponse>,
-        write_req: StreamRef<RegionWriteRequest>,
-    ) -> Self {
-        let p = layout.config.p;
-        let (src, src2, dst) = match op {
-            StreamOp::Copy => (
-                vector_regions(&layout.a, p, "A"),
-                Vec::new(),
-                vector_regions(&layout.c, p, "C"),
-            ),
-            StreamOp::Scale(_) => (
-                vector_regions(&layout.b, p, "B"),
-                Vec::new(),
-                vector_regions(&layout.a, p, "A"),
-            ),
-            StreamOp::Sum | StreamOp::Triad(_) => (
-                vector_regions(&layout.b, p, "B"),
-                vector_regions(&layout.c, p, "C"),
-                vector_regions(&layout.a, p, "A"),
-            ),
-        };
-        debug_assert_eq!(src.len(), dst.len(), "operand and result share a cover");
+    /// Register `stream_burst_outstanding{op=...}` and
+    /// `stream_bursts_issued_total{op=...}` with `registry`.
+    pub(crate) fn new(registry: &TelemetryRegistry, op: StreamOp) -> Self {
+        let labels = vec![("op", op.name().to_string())];
         Self {
-            op,
-            src,
-            src2,
-            dst,
-            state,
-            copy_req,
-            copy_resp,
-            region_req,
-            region_resp,
-            write_req,
-            reads_issued: 0,
-            stash: None,
-            pending_write: None,
-            tlm: None,
-        }
-    }
-
-    /// Register the controller's occupancy histogram
-    /// (`stream_burst_outstanding{op=...}`) and issue counter
-    /// (`stream_bursts_issued_total{op=...}`) with `registry`. Observations
-    /// are per burst event, so the steady-state tick path is untouched.
-    pub fn attach_telemetry(&mut self, registry: &TelemetryRegistry) {
-        let labels = vec![("op", self.op.name().to_string())];
-        self.tlm = Some(BurstTelemetry {
             outstanding: registry.histogram(
                 "stream_burst_outstanding",
                 labels.clone(),
                 &OUTSTANDING_BOUNDS,
             ),
             issued: registry.counter("stream_bursts_issued_total", labels),
-        });
-    }
-
-    /// Bursts (regions) per pass.
-    pub fn bursts(&self) -> usize {
-        self.dst.len()
-    }
-
-    /// Reset per-pass bookkeeping (the shared state is reset by the host).
-    pub fn begin_pass(&mut self) {
-        self.reads_issued = 0;
-        self.stash = None;
-        self.pending_write = None;
-    }
-
-    /// Whether the current pass is finished (all bursts completed).
-    pub fn pass_done(&self) -> bool {
-        let s = self.state.borrow();
-        !s.running || s.written >= self.bursts()
-    }
-
-    /// Copy path: fused copy bursts out, completion tokens back.
-    fn tick_copy(&mut self) {
-        let mut st = self.state.borrow_mut();
-        if st.issued < self.bursts() && self.copy_req.borrow().can_push() {
-            let r = st.issued;
-            self.copy_req
-                .borrow_mut()
-                .push((self.src[r].clone(), self.dst[r].clone()));
-            st.issued += 1;
-            if let Some(t) = &self.tlm {
-                t.issued.inc();
-                t.observe(st.issued, st.written);
-            }
-        }
-        if self.copy_resp.borrow_mut().pop().is_some() {
-            st.written += 1;
-            if st.written >= self.bursts() {
-                st.running = false;
-            }
-            if let Some(t) = &self.tlm {
-                t.observe(st.issued, st.written);
-            }
         }
     }
 
-    /// Compute path: region reads out, op applied per burst, region write
-    /// bursts in vector order.
-    fn tick_compute(&mut self) {
-        let reads_per_burst = self.op.reads();
-        let total_reads = self.bursts() * reads_per_burst;
-        // Issue phase: operand regions in order (B[r], then C[r] for the
-        // 2-read ops); the single region port serves them back in order.
-        if self.reads_issued < total_reads && self.region_req.borrow().can_push() {
-            let r = self.reads_issued / reads_per_burst;
-            let which = self.reads_issued % reads_per_burst;
-            let region = if which == 0 {
-                &self.src[r]
-            } else {
-                &self.src2[r]
-            };
-            self.region_req.borrow_mut().push(region.clone());
-            self.reads_issued += 1;
-            let mut st = self.state.borrow_mut();
-            let issued = self.reads_issued.div_ceil(reads_per_burst);
-            if issued > st.issued {
-                st.issued = issued;
-                if let Some(t) = &self.tlm {
-                    t.issued.inc();
-                    t.observe(st.issued, st.written);
-                }
-            }
+    /// Observe one part's step: a burst issued (its first request went out)
+    /// or a burst retired. `per_unit` is the requests per burst.
+    pub(crate) fn record(
+        &self,
+        before: &ControllerState,
+        after: &ControllerState,
+        per_unit: usize,
+    ) {
+        let issued = after.issued.div_ceil(per_unit);
+        if issued > before.issued.div_ceil(per_unit) {
+            self.issued.inc();
+        } else if after.written == before.written {
+            return;
         }
-        // Collect phase: combine a full operand set into one write burst.
-        if self.pending_write.is_none() {
-            if let Some(data) = self.region_resp.borrow_mut().pop() {
-                if reads_per_burst > 1 && self.stash.is_none() {
-                    self.stash = Some(data);
-                } else {
-                    let burst = match self.stash.take() {
-                        Some(x) => x
-                            .iter()
-                            .zip(&data)
-                            .map(|(&xb, &yb)| {
-                                self.op
-                                    .apply(f64::from_bits(xb), f64::from_bits(yb))
-                                    .to_bits()
-                            })
-                            .collect(),
-                        None => data
-                            .iter()
-                            .map(|&xb| self.op.apply(f64::from_bits(xb), 0.0).to_bits())
-                            .collect(),
-                    };
-                    let r = self.state.borrow().written;
-                    self.pending_write = Some((r, burst));
-                }
-            }
-        }
-        // Drain phase: the computed burst waits for write-FIFO room.
-        if let Some((r, _)) = self.pending_write {
-            if self.write_req.borrow().can_push() {
-                let (_, burst) = self.pending_write.take().expect("checked");
-                self.write_req
-                    .borrow_mut()
-                    .push((self.dst[r].clone(), burst));
-                let mut st = self.state.borrow_mut();
-                st.written += 1;
-                if st.written >= self.bursts() {
-                    st.running = false;
-                }
-                if let Some(t) = &self.tlm {
-                    t.observe(st.issued, st.written);
-                }
-            }
-        }
+        self.outstanding
+            .observe(issued.saturating_sub(after.written) as u64);
     }
 }
 
-impl Kernel for BurstController {
-    fn name(&self) -> &str {
-        "stream-burst-controller"
-    }
+/// The PolyMem kernel's region read, region-write and fused-copy port
+/// streams, as a burst design drives them.
+pub(crate) struct RegionPorts {
+    pub(crate) region_req: StreamRef<RegionRequest>,
+    pub(crate) region_resp: StreamRef<RegionResponse>,
+    pub(crate) write_req: StreamRef<RegionWriteRequest>,
+    pub(crate) copy_req: StreamRef<RegionCopyRequest>,
+    pub(crate) copy_resp: StreamRef<RegionCopyResponse>,
+}
 
-    fn tick(&mut self, _cycle: u64) {
-        if !self.state.borrow().running {
-            return;
-        }
-        match self.op {
-            StreamOp::Copy => self.tick_copy(),
-            _ => self.tick_compute(),
-        }
-    }
-
-    fn is_idle(&self) -> bool {
-        self.pass_done()
-    }
-
-    fn next_event(&self) -> Option<u64> {
-        // Mirror `tick`'s can-act conditions exactly: the controller wakes
-        // only on external input (a burst completion or freed FIFO slot),
-        // and every such change is bounded by the PolyMem kernel's own
-        // `next_event`, so returning `None` here lets the scheduler
-        // fast-forward engine-busy spans without perturbing cycle counts.
-        let st = self.state.borrow();
-        if !st.running {
-            return None;
-        }
-        let can_act = match self.op {
-            StreamOp::Copy => {
-                (st.issued < self.bursts() && self.copy_req.borrow().can_push())
-                    || !self.copy_resp.borrow().is_empty()
-            }
-            _ => {
-                let total_reads = self.bursts() * self.op.reads();
-                (self.reads_issued < total_reads && self.region_req.borrow().can_push())
-                    || (self.pending_write.is_none() && !self.region_resp.borrow().is_empty())
-                    || (self.pending_write.is_some() && self.write_req.borrow().can_push())
-            }
+impl RegionPorts {
+    /// Fresh streams, attached to `polymem`'s region ports.
+    pub(crate) fn attach(polymem: &mut PolyMemKernel) -> Self {
+        let ports = Self {
+            region_req: stream("region-req", 4),
+            region_resp: stream("region-resp", 2),
+            write_req: stream("region-write-req", 2),
+            copy_req: stream("copy-req", 4),
+            copy_resp: stream("copy-resp", 2),
         };
-        if can_act {
-            Some(0)
-        } else {
-            None
+        polymem.attach_region_port(Rc::clone(&ports.region_req), Rc::clone(&ports.region_resp));
+        polymem.attach_region_copy_port(Rc::clone(&ports.copy_req), Rc::clone(&ports.copy_resp));
+        polymem.attach_region_write_port(Rc::clone(&ports.write_req));
+        ports
+    }
+}
+
+/// Completion: the copy engine's tokens, one per retired copy burst.
+struct Complete {
+    resp: StreamRef<RegionCopyResponse>,
+    units: usize,
+}
+
+impl Part for Complete {
+    fn step(&mut self, st: &mut ControllerState) {
+        if self.resp.borrow_mut().pop().is_some() {
+            st.retire(self.units);
         }
     }
 
-    fn busy_reason(&self) -> Option<String> {
-        let s = self.state.borrow();
-        if !s.running || s.written >= self.bursts() {
-            return None;
+    fn can_act(&self, _st: &ControllerState) -> bool {
+        !self.resp.borrow().is_empty()
+    }
+
+    fn endpoints(&self, ends: &mut Vec<Endpoint>) {
+        ends.push(Endpoint::input(&self.resp));
+    }
+}
+
+/// Region covers of `op`'s first operand, second operand and destination,
+/// in vector order.
+fn covers(op: StreamOp, layout: &StreamLayout) -> (Vec<Region>, Option<Vec<Region>>, Vec<Region>) {
+    let p = layout.config.p;
+    let cover = |(tag, v): (&str, VectorLayout)| vector_regions(&v, p, tag);
+    let (x, y, dst) = op.route(("A", layout.a), ("B", layout.b), ("C", layout.c));
+    (cover(x), y.map(cover), cover(dst))
+}
+
+/// The region-path parts of `op`: operand region reads in order (x[r],
+/// then y[r] for the 2-read ops) on the one region port, which serves them
+/// back in order; compute into `mid`; one region-write burst per result.
+/// Returns the parts and the bursts per pass.
+pub(crate) fn burst_parts(
+    op: StreamOp,
+    layout: &StreamLayout,
+    ports: &RegionPorts,
+    mid: StreamRef<Vec<u64>>,
+) -> (Vec<Box<dyn Part>>, usize) {
+    let (x, y, dst) = covers(op, layout);
+    debug_assert_eq!(x.len(), dst.len(), "operand and result share a cover");
+    let reads: Vec<Region> = match y {
+        Some(y) => x.into_iter().zip(y).flat_map(|(x, y)| [x, y]).collect(),
+        None => x,
+    };
+    let units = dst.len();
+    let parts: Vec<Box<dyn Part>> = vec![
+        Box::new(Issue::new(vec![(Rc::clone(&ports.region_req), reads)])),
+        Box::new(Compute::new(
+            op,
+            vec![Rc::clone(&ports.region_resp)],
+            Rc::clone(&mid),
+        )),
+        Box::new(Write::new(mid, Rc::clone(&ports.write_req), dst)),
+    ];
+    (parts, units)
+}
+
+impl Controller {
+    /// The fused burst controller for `op` over `layout`: Copy streams
+    /// fused copy bursts and counts their completion tokens; the compute
+    /// ops take the region path of [`burst_parts`].
+    pub(crate) fn burst(
+        op: StreamOp,
+        layout: &StreamLayout,
+        state: StateRef,
+        ports: &RegionPorts,
+    ) -> Self {
+        const NAME: &str = "stream-burst-controller";
+        if op == StreamOp::Copy {
+            let (src, _, dst) = covers(op, layout);
+            let units = dst.len();
+            let parts: Vec<Box<dyn Part>> = vec![
+                Box::new(Issue::new(vec![(
+                    Rc::clone(&ports.copy_req),
+                    src.into_iter().zip(dst).collect::<Vec<_>>(),
+                )])),
+                Box::new(Complete {
+                    resp: Rc::clone(&ports.copy_resp),
+                    units,
+                }),
+            ];
+            return Self::assemble(NAME, op, state, units, 1, parts);
         }
-        Some(format!(
-            "{}: burst {} of {} outstanding",
-            self.op.name(),
-            s.written + 1,
-            self.bursts()
-        ))
+        let (parts, units) = burst_parts(op, layout, ports, stream(format!("{NAME}/result"), 1));
+        Self::assemble(NAME, op, state, units, op.reads(), parts)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::controller::ControllerState;
+    use dfe_sim::kernel::Kernel;
     use polymem::AccessScheme;
     use std::cell::RefCell;
-    use std::rc::Rc;
 
     fn tiny_layout() -> StreamLayout {
         StreamLayout::new(16, 8, 2, 4, AccessScheme::RoCo, 2).unwrap()
     }
 
     struct Rig {
-        ctrl: BurstController,
+        ctrl: Controller,
         copy_req: StreamRef<RegionCopyRequest>,
         copy_resp: StreamRef<RegionCopyResponse>,
         region_req: StreamRef<RegionRequest>,
@@ -354,27 +224,34 @@ mod tests {
         state: StateRef,
     }
 
-    fn make(op: StreamOp) -> Rig {
-        let layout = tiny_layout();
-        let copy_req = dfe_sim::stream("cq", 4);
-        let copy_resp = dfe_sim::stream("cr", 4);
-        let region_req = dfe_sim::stream("rq", 4);
-        let region_resp = dfe_sim::stream("rr", 4);
-        let write_req = dfe_sim::stream("wq", 4);
-        let state: StateRef = Rc::new(RefCell::new(ControllerState {
+    fn ports(write_req: StreamRef<RegionWriteRequest>) -> RegionPorts {
+        RegionPorts {
+            region_req: dfe_sim::stream("rq", 4),
+            region_resp: dfe_sim::stream("rr", 4),
+            write_req,
+            copy_req: dfe_sim::stream("cq", 4),
+            copy_resp: dfe_sim::stream("cr", 4),
+        }
+    }
+
+    fn armed() -> StateRef {
+        Rc::new(RefCell::new(ControllerState {
             running: true,
             ..Default::default()
-        }));
-        let ctrl = BurstController::new(
-            op,
-            layout,
-            Rc::clone(&state),
-            Rc::clone(&copy_req),
-            Rc::clone(&copy_resp),
-            Rc::clone(&region_req),
-            Rc::clone(&region_resp),
-            Rc::clone(&write_req),
-        );
+        }))
+    }
+
+    fn make(op: StreamOp) -> Rig {
+        let ports = ports(dfe_sim::stream("wq", 4));
+        let state = armed();
+        let ctrl = Controller::burst(op, &tiny_layout(), Rc::clone(&state), &ports);
+        let RegionPorts {
+            region_req,
+            region_resp,
+            write_req,
+            copy_req,
+            copy_resp,
+        } = ports;
         Rig {
             ctrl,
             copy_req,
@@ -389,7 +266,7 @@ mod tests {
     #[test]
     fn copy_issues_fused_bursts_and_counts_tokens() {
         let mut rig = make(StreamOp::Copy);
-        assert_eq!(rig.ctrl.bursts(), 1, "16 elems over 2 rows is one Block");
+        assert_eq!(rig.ctrl.units(), 1, "16 elems over 2 rows is one Block");
         rig.ctrl.tick(0);
         let (src, dst) = rig.copy_req.borrow_mut().pop().expect("one fused burst");
         assert_eq!(src.name, "A");
@@ -440,29 +317,16 @@ mod tests {
 
     #[test]
     fn write_backpressure_holds_the_burst() {
-        let layout = tiny_layout();
-        let state: StateRef = Rc::new(RefCell::new(ControllerState {
-            running: true,
-            ..Default::default()
-        }));
         let write_req: StreamRef<RegionWriteRequest> = dfe_sim::stream("wq-tight", 1);
         // Pre-fill the capacity-1 write FIFO so the controller must hold.
         write_req.borrow_mut().push((
             Region::new("X", 0, 0, polymem::RegionShape::Row { len: 8 }),
             vec![0; 8],
         ));
-        let region_resp = dfe_sim::stream("rr", 4);
-        let mut ctrl = BurstController::new(
-            StreamOp::Scale(3.0),
-            layout,
-            Rc::clone(&state),
-            dfe_sim::stream("cq", 4),
-            dfe_sim::stream("cr", 4),
-            dfe_sim::stream("rq", 4),
-            Rc::clone(&region_resp),
-            Rc::clone(&write_req),
-        );
-        region_resp
+        let ports = ports(Rc::clone(&write_req));
+        let mut ctrl = Controller::burst(StreamOp::Scale(3.0), &tiny_layout(), armed(), &ports);
+        ports
+            .region_resp
             .borrow_mut()
             .push((0..16).map(|k| (k as f64).to_bits()).collect());
         ctrl.tick(0);
@@ -477,7 +341,7 @@ mod tests {
     fn telemetry_counts_issues_and_occupancy_events() {
         let mut rig = make(StreamOp::Copy);
         let reg = TelemetryRegistry::new();
-        rig.ctrl.attach_telemetry(&reg);
+        rig.ctrl.tlm = Some(BurstTelemetry::new(&reg, StreamOp::Copy));
         rig.ctrl.tick(0); // issue event: outstanding = 1
         rig.copy_resp.borrow_mut().push(16);
         rig.ctrl.tick(1); // completion event: outstanding = 0

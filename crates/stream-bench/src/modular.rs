@@ -1,468 +1,56 @@
-//! The *modular* multi-kernel Copy design (paper §III-C).
+//! The *modular* multi-kernel designs (paper §III-C).
 //!
 //! During development the authors first built PolyMem as separate kernels
 //! "using a custom manager to connect the different modules", then fused it
 //! when the modular version proved to cost ~2x the resources. This module
-//! rebuilds that modular organisation on the simulator: the controller is
-//! split into an issue kernel, a compute kernel and a write kernel, linked
-//! by streams — functionally identical to the fused
-//! [`crate::app::StreamApp`], but with the extra inter-kernel FIFO hops the
-//! paper paid area for (and, observable here, extra pipeline cycles). The
-//! resource side of the comparison lives in
-//! `fpga_model::resources::DesignStyle`.
+//! rebuilds that modular organisation on the simulator: the controller's
+//! issue, compute and write parts (see [`crate::controller`]) each become
+//! their own kernel, linked by streams — functionally identical to the
+//! fused design, but with the extra inter-kernel FIFO hop the paper paid
+//! area for (and, observable here, an extra pipeline cycle).
+//! [`StreamApp::build`](crate::app::StreamApp::build) assembles both
+//! modular designs ([`Design::Modular`](crate::app::Design::Modular),
+//! per chunk, and [`Design::ModularBurst`](crate::app::Design::ModularBurst),
+//! whole-region bursts) with the same load, measure, offload, telemetry,
+//! tracing and scheduler as the fused ones. The resource side of the
+//! comparison lives in `fpga_model::resources::DesignStyle`.
 
-use crate::layout::StreamLayout;
+use crate::controller::{Controller, Part, StateRef};
 use crate::op::StreamOp;
-use crate::region_copy::vector_regions;
-use dfe_sim::kernel::Kernel;
-use dfe_sim::polymem_kernel::{
-    PolyMemKernel, ReadRequest, ReadResponse, RegionRequest, RegionResponse, RegionWriteRequest,
-    WriteRequest, PAPER_READ_LATENCY,
-};
-use dfe_sim::stream::{stream, StreamRef};
-use polymem::Region;
 use std::rc::Rc;
 
-/// Issues source-vector read requests, one chunk per cycle.
-struct IssueKernel {
-    layout: StreamLayout,
+/// One kernel per part of `parts` (issue, compute, write), returned in the
+/// modular tick order: issue (ticked before the memory), then write, then
+/// compute. That order registers the compute→write stream: a result
+/// computed at cycle `c` is written at `c + 1`, modelling Maxeler's
+/// registered inter-kernel links — the extra pipeline depth the modular
+/// organisation pays.
+pub(crate) fn split(
+    prefix: &str,
     op: StreamOp,
-    next: usize,
-    read_req: Vec<StreamRef<ReadRequest>>,
-}
-
-impl Kernel for IssueKernel {
-    fn name(&self) -> &str {
-        "modular-issue"
-    }
-
-    fn tick(&mut self, _cycle: u64) {
-        let chunks = self.layout.a.chunks();
-        let reads = self.op.reads();
-        if self.next >= chunks {
-            return;
-        }
-        if !(0..reads).all(|p| self.read_req[p].borrow().can_push()) {
-            return;
-        }
-        for (p, rq) in self.read_req.iter().enumerate().take(reads) {
-            let src = match (self.op, p) {
-                (StreamOp::Copy, _) => self.layout.a,
-                (StreamOp::Scale(_), _) => self.layout.b,
-                (StreamOp::Sum, 0) | (StreamOp::Triad(_), 0) => self.layout.b,
-                _ => self.layout.c,
-            };
-            rq.borrow_mut().push(src.access(self.next));
-        }
-        self.next += 1;
-    }
-
-    fn is_idle(&self) -> bool {
-        self.next >= self.layout.a.chunks()
-    }
-}
-
-/// Applies the op to response chunks; a pure dataflow stage.
-struct ComputeKernel {
-    op: StreamOp,
-    read_resp: Vec<StreamRef<ReadResponse>>,
-    out: StreamRef<Vec<u64>>,
-}
-
-impl Kernel for ComputeKernel {
-    fn name(&self) -> &str {
-        "modular-compute"
-    }
-
-    fn tick(&mut self, _cycle: u64) {
-        let reads = self.op.reads();
-        if !self.out.borrow().can_push() {
-            return;
-        }
-        if (0..reads).any(|p| self.read_resp[p].borrow().is_empty()) {
-            return;
-        }
-        let x = self.read_resp[0].borrow_mut().pop().expect("checked");
-        let y = if reads > 1 {
-            self.read_resp[1].borrow_mut().pop().expect("checked")
-        } else {
-            Vec::new()
-        };
-        let data: Vec<u64> = x
-            .iter()
-            .enumerate()
-            .map(|(k, &xb)| {
-                let yv = if reads > 1 { f64::from_bits(y[k]) } else { 0.0 };
-                self.op.apply(f64::from_bits(xb), yv).to_bits()
-            })
-            .collect();
-        self.out.borrow_mut().push(data);
-    }
-}
-
-/// Pairs computed chunks with destination addresses and writes them.
-struct WriteKernel {
-    layout: StreamLayout,
-    op: StreamOp,
-    next: usize,
-    input: StreamRef<Vec<u64>>,
-    write_req: StreamRef<WriteRequest>,
-}
-
-impl WriteKernel {
-    fn done(&self) -> bool {
-        self.next >= self.layout.a.chunks()
-    }
-}
-
-impl Kernel for WriteKernel {
-    fn name(&self) -> &str {
-        "modular-write"
-    }
-
-    fn tick(&mut self, _cycle: u64) {
-        if !self.write_req.borrow().can_push() {
-            return;
-        }
-        if let Some(data) = self.input.borrow_mut().pop() {
-            let dst = match self.op {
-                StreamOp::Copy => self.layout.c,
-                _ => self.layout.a,
-            };
-            self.write_req
-                .borrow_mut()
-                .push((dst.access(self.next), data));
-            self.next += 1;
-        }
-    }
-}
-
-/// Outcome of a modular pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ModularRun {
-    /// Cycles the pass took.
-    pub cycles: u64,
-    /// Chunks written.
-    pub chunks: usize,
-}
-
-/// Build and run the modular design once: load `a`/`b`/`c`, run `op` to
-/// completion, return the destination vector and the cycle count.
-pub fn run_modular(
-    op: StreamOp,
-    layout: StreamLayout,
-    a: &[f64],
-    b: &[f64],
-    c: &[f64],
-) -> polymem::Result<(Vec<f64>, ModularRun)> {
-    let ports = layout.config.read_ports;
-    let rq: Vec<_> = (0..ports).map(|p| stream(format!("m-rq{p}"), 8)).collect();
-    let rs: Vec<_> = (0..ports)
-        .map(|p| stream(format!("m-rs{p}"), PAPER_READ_LATENCY as usize + 8))
-        .collect();
-    let wq = stream("m-wq", 8);
-    let mid = stream("m-mid", 8);
-    let mut pm = PolyMemKernel::new(
-        "polymem",
-        layout.config,
-        PAPER_READ_LATENCY,
-        rq.clone(),
-        rs.clone(),
-        Rc::clone(&wq),
-    )?;
-    let n = layout.a.len;
-    for (vals, lay) in [(a, layout.a), (b, layout.b), (c, layout.c)] {
-        assert_eq!(vals.len(), n, "vector length mismatch");
-        for (k, &v) in vals.iter().enumerate() {
-            let (i, j) = lay.coord(k);
-            pm.mem().set(i, j, v.to_bits())?;
-        }
-    }
-    let mut issue = IssueKernel {
-        layout,
-        op,
-        next: 0,
-        read_req: rq,
+    state: &StateRef,
+    units: usize,
+    per_unit: usize,
+    parts: Vec<Box<dyn Part>>,
+) -> Vec<Controller> {
+    let Ok([issue, compute, write]) = <[_; 3]>::try_from(parts) else {
+        unreachable!("a modular design splits issue, compute and write parts")
     };
-    let mut compute = ComputeKernel {
-        op,
-        read_resp: rs,
-        out: Rc::clone(&mid),
-    };
-    let mut write = WriteKernel {
-        layout,
-        op,
-        next: 0,
-        input: mid,
-        write_req: wq,
-    };
-    let chunks = layout.a.chunks();
-    let max = 8 * chunks as u64 + 2000;
-    let mut cycle = 0u64;
-    // Tick order registers the compute->write stream: a chunk produced by
-    // the compute kernel at cycle c is consumed by the write kernel at
-    // c + 1, modelling Maxeler's registered inter-kernel links — the extra
-    // pipeline depth the modular organisation pays.
-    while !(write.done() && pm.pipelines_empty()) {
-        issue.tick(cycle);
-        pm.tick(cycle);
-        write.tick(cycle);
-        compute.tick(cycle);
-        cycle += 1;
-        assert!(
-            cycle < max,
-            "modular pass wedged: {} of {} chunks written",
-            write.next,
-            chunks
-        );
-    }
-    assert!(pm.errors().is_empty(), "memory errors: {:?}", pm.errors());
-
-    let dst = match op {
-        StreamOp::Copy => layout.c,
-        _ => layout.a,
-    };
-    let mut out = Vec::with_capacity(n);
-    for k in 0..n {
-        let (i, j) = dst.coord(k);
-        out.push(f64::from_bits(pm.mem().get(i, j)?));
-    }
-    Ok((
-        out,
-        ModularRun {
-            cycles: cycle,
-            chunks,
-        },
-    ))
-}
-
-/// Issues operand **region read bursts** in order (B[r], then C[r] for the
-/// 2-read ops) on the single region port.
-struct BurstIssueKernel {
-    reads_per_burst: usize,
-    src: Vec<Region>,
-    src2: Vec<Region>,
-    next: usize,
-    region_req: StreamRef<RegionRequest>,
-}
-
-impl Kernel for BurstIssueKernel {
-    fn name(&self) -> &str {
-        "modular-burst-issue"
-    }
-
-    fn tick(&mut self, _cycle: u64) {
-        let total = self.src.len() * self.reads_per_burst;
-        if self.next >= total || !self.region_req.borrow().can_push() {
-            return;
-        }
-        let r = self.next / self.reads_per_burst;
-        let region = if self.next.is_multiple_of(self.reads_per_burst) {
-            &self.src[r]
-        } else {
-            &self.src2[r]
-        };
-        self.region_req.borrow_mut().push(region.clone());
-        self.next += 1;
-    }
-
-    fn is_idle(&self) -> bool {
-        self.next >= self.src.len() * self.reads_per_burst
-    }
-}
-
-/// Applies the op to whole operand bursts; a pure dataflow stage.
-struct BurstComputeKernel {
-    op: StreamOp,
-    region_resp: StreamRef<RegionResponse>,
-    stash: Option<Vec<u64>>,
-    out: StreamRef<Vec<u64>>,
-}
-
-impl Kernel for BurstComputeKernel {
-    fn name(&self) -> &str {
-        "modular-burst-compute"
-    }
-
-    fn tick(&mut self, _cycle: u64) {
-        if !self.out.borrow().can_push() {
-            return;
-        }
-        let Some(data) = self.region_resp.borrow_mut().pop() else {
-            return;
-        };
-        if self.op.reads() > 1 && self.stash.is_none() {
-            self.stash = Some(data);
-            return;
-        }
-        let burst: Vec<u64> = match self.stash.take() {
-            Some(x) => x
-                .iter()
-                .zip(&data)
-                .map(|(&xb, &yb)| {
-                    self.op
-                        .apply(f64::from_bits(xb), f64::from_bits(yb))
-                        .to_bits()
-                })
-                .collect(),
-            None => data
-                .iter()
-                .map(|&xb| self.op.apply(f64::from_bits(xb), 0.0).to_bits())
-                .collect(),
-        };
-        self.out.borrow_mut().push(burst);
-    }
-}
-
-/// Pairs computed bursts with destination regions and writes them.
-struct BurstWriteKernel {
-    dst: Vec<Region>,
-    next: usize,
-    input: StreamRef<Vec<u64>>,
-    write_req: StreamRef<RegionWriteRequest>,
-}
-
-impl BurstWriteKernel {
-    fn done(&self) -> bool {
-        self.next >= self.dst.len()
-    }
-}
-
-impl Kernel for BurstWriteKernel {
-    fn name(&self) -> &str {
-        "modular-burst-write"
-    }
-
-    fn tick(&mut self, _cycle: u64) {
-        if !self.write_req.borrow().can_push() {
-            return;
-        }
-        if let Some(burst) = self.input.borrow_mut().pop() {
-            self.write_req
-                .borrow_mut()
-                .push((self.dst[self.next].clone(), burst));
-            self.next += 1;
-        }
-    }
-}
-
-/// Build and run the modular design in **region-burst** mode: the same
-/// issue / compute / write split, but each inter-kernel token is a whole
-/// region burst rather than an 8-element chunk. Returns the destination
-/// vector and the cycle count.
-pub fn run_modular_burst(
-    op: StreamOp,
-    layout: StreamLayout,
-    a: &[f64],
-    b: &[f64],
-    c: &[f64],
-) -> polymem::Result<(Vec<f64>, ModularRun)> {
-    let ports = layout.config.read_ports;
-    let rq: Vec<_> = (0..ports).map(|p| stream(format!("mb-rq{p}"), 8)).collect();
-    let rs: Vec<_> = (0..ports)
-        .map(|p| stream(format!("mb-rs{p}"), PAPER_READ_LATENCY as usize + 8))
-        .collect();
-    let wq = stream("mb-wq", 8);
-    let region_req = stream("mb-region-req", 4);
-    let region_resp = stream("mb-region-resp", 2);
-    let burst_wq = stream("mb-region-wq", 2);
-    let mid = stream("mb-mid", 2);
-    let mut pm = PolyMemKernel::new(
-        "polymem",
-        layout.config,
-        PAPER_READ_LATENCY,
-        rq,
-        rs,
-        Rc::clone(&wq),
-    )?;
-    pm.attach_region_port(Rc::clone(&region_req), Rc::clone(&region_resp));
-    pm.attach_region_write_port(Rc::clone(&burst_wq));
-    let n = layout.a.len;
-    for (vals, lay) in [(a, layout.a), (b, layout.b), (c, layout.c)] {
-        assert_eq!(vals.len(), n, "vector length mismatch");
-        for (k, &v) in vals.iter().enumerate() {
-            let (i, j) = lay.coord(k);
-            pm.mem().set(i, j, v.to_bits())?;
-        }
-    }
-    let p = layout.config.p;
-    let (src, src2, dst) = match op {
-        StreamOp::Copy => (
-            vector_regions(&layout.a, p, "A"),
-            Vec::new(),
-            vector_regions(&layout.c, p, "C"),
-        ),
-        StreamOp::Scale(_) => (
-            vector_regions(&layout.b, p, "B"),
-            Vec::new(),
-            vector_regions(&layout.a, p, "A"),
-        ),
-        StreamOp::Sum | StreamOp::Triad(_) => (
-            vector_regions(&layout.b, p, "B"),
-            vector_regions(&layout.c, p, "C"),
-            vector_regions(&layout.a, p, "A"),
-        ),
-    };
-    let mut issue = BurstIssueKernel {
-        reads_per_burst: op.reads(),
-        src,
-        src2,
-        next: 0,
-        region_req,
-    };
-    let mut compute = BurstComputeKernel {
-        op,
-        region_resp,
-        stash: None,
-        out: Rc::clone(&mid),
-    };
-    let mut write = BurstWriteKernel {
-        dst,
-        next: 0,
-        input: mid,
-        write_req: burst_wq,
-    };
-    let chunks = layout.a.chunks();
-    let max = 8 * chunks as u64 + 2000;
-    let mut cycle = 0u64;
-    // Same registered inter-kernel ordering as the per-chunk modular chain.
-    while !(write.done() && pm.pipelines_empty()) {
-        issue.tick(cycle);
-        pm.tick(cycle);
-        write.tick(cycle);
-        compute.tick(cycle);
-        cycle += 1;
-        assert!(
-            cycle < max,
-            "modular burst pass wedged: {} of {} bursts written",
-            write.next,
-            write.dst.len()
-        );
-    }
-    assert!(pm.errors().is_empty(), "memory errors: {:?}", pm.errors());
-
-    let out_lay = match op {
-        StreamOp::Copy => layout.c,
-        _ => layout.a,
-    };
-    let mut out = Vec::with_capacity(n);
-    for k in 0..n {
-        let (i, j) = out_lay.coord(k);
-        out.push(f64::from_bits(pm.mem().get(i, j)?));
-    }
-    Ok((
-        out,
-        ModularRun {
-            cycles: cycle,
-            chunks,
-        },
-    ))
+    [("issue", issue), ("write", write), ("compute", compute)]
+        .into_iter()
+        .map(|(role, part)| {
+            let name = format!("{prefix}-{role}");
+            Controller::assemble(name, op, Rc::clone(state), units, per_unit, vec![part])
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::app::{scalar_reference, StreamApp, PAPER_STREAM_FREQ_MHZ};
+    use crate::app::{scalar_reference, Design, StreamApp, PAPER_STREAM_FREQ_MHZ};
+    use crate::layout::StreamLayout;
+    use crate::op::StreamOp;
+    use dfe_sim::polymem_kernel::PAPER_READ_LATENCY;
     use polymem::AccessScheme;
 
     fn vectors(n: usize) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
@@ -472,46 +60,56 @@ mod tests {
         (a, b, c)
     }
 
+    /// Load, run one pass of `design` and read back: (result, cycles).
+    fn run(design: Design, op: StreamOp, n: usize) -> (Vec<f64>, u64) {
+        let layout = StreamLayout::new(n, 64, 2, 4, AccessScheme::RoCo, 2).unwrap();
+        let mut app = StreamApp::build(
+            design,
+            op,
+            layout,
+            PAPER_STREAM_FREQ_MHZ,
+            PAPER_READ_LATENCY,
+        )
+        .unwrap();
+        let (a, b, c) = vectors(n);
+        app.load(&a, &b, &c).unwrap();
+        let cycles = app.run_pass();
+        assert!(app.errors().is_empty(), "memory errors: {:?}", app.errors());
+        let (out, _) = app.offload();
+        assert_eq!(
+            out,
+            scalar_reference(op, &a, &b, &c),
+            "{design:?} {}",
+            op.name()
+        );
+        (out, cycles)
+    }
+
+    const OPS: [StreamOp; 4] = [
+        StreamOp::Copy,
+        StreamOp::Scale(1.5),
+        StreamOp::Sum,
+        StreamOp::Triad(-0.5),
+    ];
+
     #[test]
     fn modular_copy_matches_scalar_reference() {
         let n = 8 * 64;
-        let layout = StreamLayout::new(n, 64, 2, 4, AccessScheme::RoCo, 2).unwrap();
-        let (a, b, c) = vectors(n);
-        let (out, run) = run_modular(StreamOp::Copy, layout, &a, &b, &c).unwrap();
-        assert_eq!(out, scalar_reference(StreamOp::Copy, &a, &b, &c));
-        assert_eq!(run.chunks, n / 8);
-        assert!(run.cycles as usize >= n / 8);
+        let (_, cycles) = run(Design::Modular, StreamOp::Copy, n);
+        assert!(cycles as usize >= n / 8);
     }
 
     #[test]
     fn modular_all_ops_verified() {
-        let n = 4 * 64;
-        for op in [
-            StreamOp::Copy,
-            StreamOp::Scale(1.5),
-            StreamOp::Sum,
-            StreamOp::Triad(-0.5),
-        ] {
-            let layout = StreamLayout::new(n, 64, 2, 4, AccessScheme::RoCo, 2).unwrap();
-            let (a, b, c) = vectors(n);
-            let (out, _) = run_modular(op, layout, &a, &b, &c).unwrap();
-            assert_eq!(out, scalar_reference(op, &a, &b, &c), "{}", op.name());
+        for op in OPS {
+            run(Design::Modular, op, 4 * 64);
         }
     }
 
     #[test]
     fn modular_burst_all_ops_verified() {
-        let n = 4 * 64;
-        for op in [
-            StreamOp::Copy,
-            StreamOp::Scale(1.5),
-            StreamOp::Sum,
-            StreamOp::Triad(-0.5),
-        ] {
-            let layout = StreamLayout::new(n, 64, 2, 4, AccessScheme::RoCo, 2).unwrap();
-            let (a, b, c) = vectors(n);
-            let (out, _) = run_modular_burst(op, layout, &a, &b, &c).unwrap();
-            assert_eq!(out, scalar_reference(op, &a, &b, &c), "burst {}", op.name());
+        for op in OPS {
+            run(Design::ModularBurst, op, 4 * 64);
         }
     }
 
@@ -520,42 +118,27 @@ mod tests {
         // The burst variant pays the same ceil(len/lanes) access cycles per
         // burst plus a constant number of inter-kernel hops: within a small
         // constant of the per-chunk modular chain.
-        let n = 16 * 64;
-        let layout = StreamLayout::new(n, 64, 2, 4, AccessScheme::RoCo, 2).unwrap();
-        let (a, b, c) = vectors(n);
-        let (_, chunked) = run_modular(StreamOp::Copy, layout, &a, &b, &c).unwrap();
-        let (_, burst) = run_modular_burst(StreamOp::Copy, layout, &a, &b, &c).unwrap();
-        let delta = burst.cycles.abs_diff(chunked.cycles);
+        let (_, chunked) = run(Design::Modular, StreamOp::Copy, 16 * 64);
+        let (_, burst) = run(Design::ModularBurst, StreamOp::Copy, 16 * 64);
         assert!(
-            delta <= 25,
-            "burst {} vs per-chunk {} modular cycles",
-            burst.cycles,
-            chunked.cycles
+            burst.abs_diff(chunked) <= 25,
+            "burst {burst} vs per-chunk {chunked} modular cycles"
         );
     }
 
     #[test]
     fn modular_costs_more_cycles_than_fused() {
         // The fused controller computes and writes in the same kernel; the
-        // modular chain adds inter-kernel FIFO hops (the cycle-side analogue
-        // of the paper's 2x resource observation).
-        let n = 16 * 64;
-        let layout = StreamLayout::new(n, 64, 2, 4, AccessScheme::RoCo, 2).unwrap();
-        let (a, b, c) = vectors(n);
-
-        let mut fused = StreamApp::new(StreamOp::Copy, layout, PAPER_STREAM_FREQ_MHZ).unwrap();
-        fused.load(&a, &b, &c).unwrap();
-        let fused_cycles = fused.measure(1).cycles_per_run;
-
-        let (_, modular) = run_modular(StreamOp::Copy, layout, &a, &b, &c).unwrap();
+        // modular chain adds an inter-kernel FIFO hop (the cycle-side
+        // analogue of the paper's 2x resource observation).
+        let (_, fused) = run(Design::Fused, StreamOp::Copy, 16 * 64);
+        let (_, modular) = run(Design::Modular, StreamOp::Copy, 16 * 64);
         assert!(
-            modular.cycles > fused_cycles,
-            "modular {} should exceed fused {}",
-            modular.cycles,
-            fused_cycles
+            modular > fused,
+            "modular {modular} should exceed fused {fused}"
         );
         // But the overhead is a constant pipeline depth, not a throughput
         // loss: within a few cycles plus the same chunk count.
-        assert!(modular.cycles < fused_cycles + 20);
+        assert!(modular < fused + 20);
     }
 }

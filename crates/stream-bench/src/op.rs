@@ -54,6 +54,40 @@ impl StreamOp {
         }
     }
 
+    /// The op's roles among the three STREAM vectors, given in the order
+    /// A, B, C: `(first operand, second operand, destination)`. The second
+    /// operand is `Some` exactly for the 2-read ops. This is the one place
+    /// the op → vector mapping is written down; callers pass layouts,
+    /// slices or region covers alike.
+    pub fn route<T>(&self, a: T, b: T, c: T) -> (T, Option<T>, T) {
+        match self {
+            StreamOp::Copy => (a, None, c),
+            StreamOp::Scale(_) => (b, None, a),
+            StreamOp::Sum | StreamOp::Triad(_) => (b, Some(c), a),
+        }
+    }
+
+    /// Apply the op lane by lane to a chunk or burst of `f64` bit patterns,
+    /// in place: `x[k] = apply(x[k], y[k])` (`y` absent for 1-read ops).
+    #[inline]
+    pub fn combine(&self, x: &mut [u64], y: Option<&[u64]>) {
+        match (self, y) {
+            (StreamOp::Copy, _) => {}
+            (_, Some(y)) => {
+                for (xb, &yb) in x.iter_mut().zip(y) {
+                    *xb = self
+                        .apply(f64::from_bits(*xb), f64::from_bits(yb))
+                        .to_bits();
+                }
+            }
+            (_, None) => {
+                for xb in x.iter_mut() {
+                    *xb = self.apply(f64::from_bits(*xb), 0.0).to_bits();
+                }
+            }
+        }
+    }
+
     /// Combine one element's operands. `x` is the first operand (A for
     /// Copy, B otherwise); `y` the second (C), ignored for 1-read ops.
     #[inline]
@@ -91,6 +125,22 @@ mod tests {
         assert_eq!(StreamOp::Scale(3.0).apply(5.0, 99.0), 15.0);
         assert_eq!(StreamOp::Sum.apply(5.0, 7.0), 12.0);
         assert_eq!(StreamOp::Triad(3.0).apply(5.0, 7.0), 26.0);
+    }
+
+    #[test]
+    fn route_and_combine() {
+        assert_eq!(StreamOp::Copy.route('a', 'b', 'c'), ('a', None, 'c'));
+        assert_eq!(StreamOp::Scale(2.0).route('a', 'b', 'c'), ('b', None, 'a'));
+        assert_eq!(
+            StreamOp::Triad(2.0).route('a', 'b', 'c'),
+            ('b', Some('c'), 'a')
+        );
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        let mut x = bits(&[1.0, 2.0]);
+        StreamOp::Triad(3.0).combine(&mut x, Some(&bits(&[10.0, 20.0])));
+        assert_eq!(x, bits(&[31.0, 62.0]));
+        StreamOp::Scale(0.5).combine(&mut x, None);
+        assert_eq!(x, bits(&[15.5, 31.0]));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use crate::layout::VectorLayout;
 use crate::region_copy::vector_regions;
-use dfe_sim::kernel::Kernel;
+use dfe_sim::kernel::{Endpoint, Kernel};
 use dfe_sim::pcie::PcieLink;
 use dfe_sim::polymem_kernel::{
     ReadRequest, ReadResponse, RegionRequest, RegionResponse, RegionWriteRequest, WriteRequest,
@@ -136,6 +136,10 @@ impl Kernel for LoadKernel {
         // registration order, so the bulk attribution sees the right flag.
         self.set_pacing(self.next_chunk < self.layout.chunks());
     }
+
+    fn endpoints(&self) -> Vec<Endpoint> {
+        vec![Endpoint::output(&self.write_req)]
+    }
 }
 
 /// Streams one vector out of PolyMem through a read port into a host
@@ -213,6 +217,13 @@ impl Kernel for OffloadKernel {
         } else {
             None
         }
+    }
+
+    fn endpoints(&self) -> Vec<Endpoint> {
+        vec![
+            Endpoint::output(&self.read_req),
+            Endpoint::input(&self.read_resp),
+        ]
     }
 }
 
@@ -342,6 +353,10 @@ impl Kernel for BurstLoadKernel {
             Some(format!("{} load bursts unsent", self.remaining()))
         }
     }
+
+    fn endpoints(&self) -> Vec<Endpoint> {
+        vec![Endpoint::output(&self.write_req)]
+    }
 }
 
 /// Streams one vector out of PolyMem as **region read bursts** through the
@@ -423,6 +438,13 @@ impl Kernel for BurstOffloadKernel {
         } else {
             None
         }
+    }
+
+    fn endpoints(&self) -> Vec<Endpoint> {
+        vec![
+            Endpoint::output(&self.region_req),
+            Endpoint::input(&self.region_resp),
+        ]
     }
 }
 

@@ -273,13 +273,17 @@ fn panicking_hot_path() -> Mutation {
     )
 }
 
-/// Mutation 8: strip the delay-line register off the burst design's
-/// response paths in its declared stream graph. The controller then waits
+/// Mutation 8: strip the delay-line register off the response paths of
+/// the live fused burst design's stream graph. The controller then waits
 /// on PolyMem for a response PolyMem can only compute after the controller
 /// unblocks — the deadlock pass must close the wait graph and report the
 /// cycle.
 fn cyclic_stream_wait() -> Mutation {
-    let mut graph = stream_bench::graph::declared_graph(true, 2);
+    use stream_bench::{StreamApp, StreamLayout, StreamOp, PAPER_STREAM_FREQ_MHZ};
+    let mut graph = StreamLayout::paper_geometry(StreamLayout::PAPER_MAX_LEN)
+        .and_then(|l| StreamApp::new_burst(StreamOp::Triad(2.0), l, PAPER_STREAM_FREQ_MHZ))
+        .map(|app| app.stream_graph())
+        .unwrap_or_default();
     for e in &mut graph {
         e.registered = false;
     }

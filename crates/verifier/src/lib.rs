@@ -20,7 +20,8 @@
 //!   `ConcurrentPolyMem` from source, proves the lock-order graph acyclic
 //!   with no same-class nesting, and flags read-port threads that could
 //!   reach a bank write (same-cycle port aliasing);
-//! * [`streams`] — proves the declared STREAM wiring graphs deadlock-free:
+//! * [`streams`] — proves the live STREAM wiring graphs, derived from the
+//!   kernels that run, deadlock-free:
 //!   no wait-cycle over unregistered (non-delay-line) stream edges, the
 //!   static-graph complement to the event scheduler's runtime `Stuck`
 //!   detection;

@@ -390,7 +390,7 @@ fn main() -> ExitCode {
             let total_streams: usize = stream_reports.iter().map(|r| r.streams).sum();
             let total_registered: usize = stream_reports.iter().map(|r| r.registered).sum();
             println!(
-                "  streams: {} declared design graph(s), {} stream(s) ({} register-backed), \
+                "  streams: {} live design graph(s), {} stream(s) ({} register-backed), \
                  wait graphs acyclic — no static deadlock",
                 stream_reports.len(),
                 total_streams,

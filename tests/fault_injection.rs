@@ -209,9 +209,9 @@ fn stream_app_panics_on_wedged_pipeline_with_diagnostics() {
     // (pass_done is immediately true), but a latency larger than the
     // response FIFO would deadlock a naive design. Our response FIFO is
     // sized latency + 8, so a huge latency still drains; verify it.
-    use stream_bench::{StreamApp, StreamLayout, StreamOp};
+    use stream_bench::{Design, StreamApp, StreamLayout, StreamOp};
     let layout = StreamLayout::new(512, 64, 2, 4, AccessScheme::RoCo, 2).unwrap();
-    let mut app = StreamApp::with_latency(StreamOp::Copy, layout, 120.0, 300).unwrap();
+    let mut app = StreamApp::build(Design::Fused, StreamOp::Copy, layout, 120.0, 300).unwrap();
     let a: Vec<f64> = (0..512).map(|k| k as f64).collect();
     let z = vec![0.0; 512];
     app.load(&a, &z, &z).unwrap();
@@ -219,6 +219,33 @@ fn stream_app_panics_on_wedged_pipeline_with_diagnostics() {
     assert!(t.cycles_per_run > 300, "latency dominates a short run");
     let (out, _) = app.offload();
     assert_eq!(out, a);
+}
+
+#[test]
+fn stream_app_load_rejects_wrong_lengths_without_writing() {
+    // Hostile vector lengths must come back as the same error a
+    // wrong-length region write gets, with memory untouched — even when
+    // the bad vector comes after a good one.
+    use stream_bench::{StreamApp, StreamLayout, StreamOp};
+    let layout = StreamLayout::new(512, 64, 2, 4, AccessScheme::RoCo, 2).unwrap();
+    let mut app = StreamApp::new(StreamOp::Copy, layout, 120.0).unwrap();
+    let good = vec![1.5; 512];
+    let zeros = vec![0.0; 512];
+    app.load(&zeros, &zeros, &zeros).unwrap();
+    for (a, b, c) in [
+        (&good[..], &good[..], &good[..100]),
+        (&good[..], &good[..0], &good[..]),
+        (&[0.0; 513][..], &good[..], &good[..]),
+    ] {
+        let bad = [a, b, c].iter().find(|v| v.len() != 512).unwrap().len();
+        assert!(matches!(
+            app.load(a, b, c),
+            Err(PolyMemError::WrongLaneCount { got, expected: 512 }) if got == bad
+        ));
+    }
+    assert_eq!(app.offload().0, zeros, "C untouched");
+    app.run_pass();
+    assert_eq!(app.offload().0, zeros, "A untouched (Copy moved it into C)");
 }
 
 #[test]

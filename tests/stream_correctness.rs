@@ -117,7 +117,15 @@ fn wrong_vector_length_rejected() {
     let mut app = StreamApp::new(StreamOp::Copy, layout, 120.0).unwrap();
     let a = vec![0.0; 512];
     let short = vec![0.0; 100];
-    let result =
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| app.load(&a, &short, &a)));
-    assert!(result.is_err(), "length mismatch must be rejected");
+    let result = app.load(&a, &short, &a);
+    assert!(
+        matches!(
+            result,
+            Err(polymem::PolyMemError::WrongLaneCount {
+                got: 100,
+                expected: 512
+            })
+        ),
+        "length mismatch must be rejected: {result:?}"
+    );
 }
