@@ -1,9 +1,12 @@
-//! **Debugging workflow demo** — run the Fig. 9 Copy design with waveform
-//! capture: per-cycle controller progress and port activity recorded to a
-//! VCD document (the visualisation §III-C wished MaxJ had) plus stream
-//! health statistics.
+//! **Debugging workflow demo** — run the Fig. 9 Copy design with its span
+//! journal attached and export the recorded run as a VCD waveform (the
+//! visualisation §III-C wished MaxJ had): one signal per journal track and
+//! span name, such as `polymem.active` for the PolyMem kernel's per-cycle
+//! attribution state (a fully pipelined Copy keeps the kernel active on
+//! every cycle of the pass).
 
 use dfe_sim::VcdRecorder;
+use polymem::tracing::TraceJournal;
 use polymem::AccessScheme;
 use stream_bench::{StreamApp, StreamLayout, StreamOp, PAPER_STREAM_FREQ_MHZ};
 
@@ -11,47 +14,35 @@ fn main() {
     let n = 4 * 64;
     let layout = StreamLayout::new(n, 64, 2, 4, AccessScheme::RoCo, 2).expect("valid layout");
     let mut app = StreamApp::new(StreamOp::Copy, layout, PAPER_STREAM_FREQ_MHZ).expect("valid");
+    let journal = TraceJournal::new(1 << 14);
+    app.attach_tracing(&journal);
     let a: Vec<f64> = (0..n).map(|k| k as f64).collect();
     let z = vec![0.0; n];
     app.load(&a, &z, &z).expect("load");
 
-    // Drive one pass manually, sampling progress into the VCD each cycle.
-    let mut vcd = VcdRecorder::new();
-    vcd.declare("chunks_issued", 16);
-    vcd.declare("chunks_written", 16);
-    vcd.declare("pass_running", 1);
-
-    // StreamApp::run_pass drives to completion; to sample per-cycle we use
-    // the measure path once, then re-run recording coarse milestones from
-    // a fresh app (the controller state is not exposed per cycle through
-    // the public API, so we sample at chunk granularity).
     let t = app.measure(1);
-    let chunks = (n / 8) as u64;
-    for c in 0..t.cycles_per_run {
-        // Reconstruct the (deterministic) issue/write trajectories: issue
-        // ramps 1/cycle to `chunks`; writes follow `latency + 1` behind.
-        let issued = c.min(chunks);
-        let written = c
-            .saturating_sub(dfe_sim::PAPER_READ_LATENCY + 1)
-            .min(chunks);
-        vcd.sample("chunks_issued", c, issued);
-        vcd.sample("chunks_written", c, written);
-        vcd.sample("pass_running", c, u64::from(written < chunks));
-    }
+    let snap = journal.snapshot();
+    assert_eq!(snap.dropped, 0, "journal sized for the pass");
+    // The attribution strip covers every cycle of the pass exactly once.
+    let strip: u64 = snap.span_cycles_by_name("polymem").values().sum();
+    assert_eq!(strip, t.cycles_per_run, "attribution spans cover the pass");
 
+    let vcd = VcdRecorder::from_trace(&snap);
     let doc = vcd.render("stream_copy", 1000.0 / PAPER_STREAM_FREQ_MHZ);
     let path = std::env::temp_dir().join("polymem_stream_copy.vcd");
     std::fs::write(&path, &doc).expect("write VCD");
     println!(
         "Copy pass: {} cycles for {} chunks at {} MHz ({:.0} MB/s, {:.1}% of peak)",
         t.cycles_per_run,
-        chunks,
+        layout.a.chunks(),
         PAPER_STREAM_FREQ_MHZ,
         t.bandwidth_mbps,
         100.0 * t.fraction_of_peak()
     );
     println!(
-        "VCD waveform: {} lines -> {} (open with GTKWave)",
+        "VCD waveform recorded from {} journal events: {} signals, {} lines -> {} (open with GTKWave)",
+        snap.events.len(),
+        vcd.signal_count(),
         doc.lines().count(),
         path.display()
     );

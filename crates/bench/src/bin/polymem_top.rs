@@ -414,7 +414,7 @@ fn main() {
     let bursts = counter_sum(&snap, "stream_bursts_issued_total", &[]);
     println!("{conflicts} bank conflicts avoided by the MAF; {bursts} region bursts issued.");
 
-    // Observability health: events the bounded journal/tracer could not
+    // Observability health: events the bounded span journal could not
     // keep — nonzero numbers here mean the trace undercounts reality.
     let journal_dropped = counter_sum(&snap, "stream_trace_dropped_total", &[]);
     println!(

@@ -20,11 +20,20 @@
 
 use polymem::telemetry::TelemetrySnapshot;
 use polymem::tracing::TraceSnapshot;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
+use std::time::Duration;
+
+/// How long one connection may block a read or a write. Connections are
+/// served one at a time, so this bounds how long a silent client can hold
+/// every other scrape back.
+const CLIENT_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Most bytes of request line plus headers read from one connection.
+const MAX_REQUEST_BYTES: u64 = 8 * 1024;
 
 /// Shared, swappable content for the scrape routes. Publish new snapshots
 /// at any time; concurrent scrapes see either the old or the new body,
@@ -84,7 +93,10 @@ impl ScrapeState {
 }
 
 /// A running scrape server: one accept thread, one short-lived connection
-/// at a time (scrapes are tiny; Prometheus polls sequentially).
+/// at a time (scrapes are tiny; Prometheus polls sequentially). Each
+/// connection gets [`CLIENT_TIMEOUT`] per read or write and at most
+/// [`MAX_REQUEST_BYTES`] of request, so a stalled client delays the next
+/// scrape by a bounded time instead of wedging the endpoint.
 #[derive(Debug)]
 pub struct ScrapeServer {
     addr: SocketAddr,
@@ -146,15 +158,18 @@ impl ScrapeServer {
 /// Serve one connection: parse the request line, ignore headers, write one
 /// `Connection: close` response.
 fn handle_connection(stream: TcpStream, state: &ScrapeState) -> std::io::Result<()> {
-    let mut reader = BufReader::new(stream);
+    stream.set_read_timeout(Some(CLIENT_TIMEOUT))?;
+    stream.set_write_timeout(Some(CLIENT_TIMEOUT))?;
+    let mut reader = BufReader::new(stream.take(MAX_REQUEST_BYTES));
     let mut request_line = String::new();
     reader.read_line(&mut request_line)?;
     // "GET /path HTTP/1.1" — anything else is a 400.
     let mut parts = request_line.split_whitespace();
     let (method, path) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
-    // Drain headers so well-behaved clients see a clean close.
+    // Drain headers so well-behaved clients see a clean close (a read
+    // error, a timeout or the byte cap ends the drain too).
     let mut line = String::new();
-    while reader.read_line(&mut line).is_ok() && line.trim() != "" {
+    while matches!(reader.read_line(&mut line), Ok(n) if n > 0) && line.trim() != "" {
         line.clear();
     }
     let (status, ctype, body) = if method != "GET" {
@@ -168,7 +183,7 @@ fn handle_connection(stream: TcpStream, state: &ScrapeState) -> std::io::Result<
         405 => "Method Not Allowed",
         _ => "Error",
     };
-    let mut out = reader.into_inner();
+    let mut out = reader.into_inner().into_inner();
     write!(
         out,
         "HTTP/1.1 {status} {reason}\r\nContent-Type: {ctype}\r\n\
@@ -182,10 +197,11 @@ fn handle_connection(stream: TcpStream, state: &ScrapeState) -> std::io::Result<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Read;
 
     fn http_get(addr: SocketAddr, path: &str) -> (u16, String) {
         let mut s = TcpStream::connect(addr).unwrap();
+        // A wedged server fails the test instead of hanging it.
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
         write!(s, "GET {path} HTTP/1.1\r\nHost: test\r\n\r\n").unwrap();
         let mut resp = String::new();
         s.read_to_string(&mut resp).unwrap();
@@ -263,6 +279,47 @@ mod tests {
             TcpStream::connect(addr).is_err() || http_get_would_fail(addr),
             "listener is gone after shutdown"
         );
+    }
+
+    #[test]
+    fn idle_client_cannot_wedge_the_endpoint() {
+        let state = populated_state();
+        let server = ScrapeServer::serve("127.0.0.1:0", Arc::clone(&state)).unwrap();
+        let addr = server.addr();
+        // Connects and sends nothing: the server is serving it first.
+        let idle = TcpStream::connect(addr).unwrap();
+        let start = std::time::Instant::now();
+        let (code, body) = http_get(addr, "/metrics");
+        let waited = start.elapsed();
+        assert_eq!(code, 200);
+        assert!(body.contains("test_total"), "{body}");
+        assert!(
+            waited < CLIENT_TIMEOUT + Duration::from_secs(3),
+            "second scrape waited {waited:?}"
+        );
+        drop(idle);
+        server.shutdown();
+    }
+
+    #[test]
+    fn oversized_request_is_cut_off() {
+        let state = populated_state();
+        let server = ScrapeServer::serve("127.0.0.1:0", Arc::clone(&state)).unwrap();
+        let addr = server.addr();
+        // A request line as long as the cap and never terminated: the
+        // server stops reading at the cap and answers at once, instead of
+        // waiting for a newline until the read times out. (Exactly the cap,
+        // so no unread bytes turn the server's close into a reset.)
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.set_read_timeout(Some(CLIENT_TIMEOUT)).unwrap();
+        s.write_all(&vec![b'x'; MAX_REQUEST_BYTES as usize])
+            .unwrap();
+        let mut resp = String::new();
+        s.read_to_string(&mut resp).unwrap();
+        assert!(resp.starts_with("HTTP/1.1 405"), "{resp:?}");
+        let (code, _) = http_get(addr, "/metrics");
+        assert_eq!(code, 200, "the endpoint still serves");
+        server.shutdown();
     }
 
     // After shutdown the OS may briefly accept on the dead listener's

@@ -4,7 +4,7 @@
 //!
 //! * [`clock`] — cycle counting and cycle ↔ nanosecond conversion;
 //! * [`stream`](mod@stream) — bounded typed FIFOs with backpressure (the edges of a
-//!   MaxJ dataflow graph);
+//!   MaxJ dataflow graph) and their health counters;
 //! * [`kernel`] — the ticked-kernel trait, plus [`kernel::DelayLine`]
 //!   pipeline registers and the live stream graph ([`kernel::stream_graph`])
 //!   joined from each kernel's reported endpoints;
@@ -12,13 +12,16 @@
 //!   deterministically;
 //! * [`sched`] — the event-driven scheduling engine: kernels declare their
 //!   next-interesting cycle and quiescent spans are fast-forwarded in O(1),
-//!   with bulk stall attribution keeping cycle semantics bit-identical;
+//!   with bulk stall attribution keeping cycle semantics bit-identical; its
+//!   [`sched::step`] is the one loop body of every driver;
 //! * [`pcie`] — the host link with the ~300 ns per-call overhead the paper
 //!   measured (§V) and bulk-transfer bandwidth;
 //! * [`dram`] — the off-chip LMem model PolyMem is designed to shield
 //!   applications from;
 //! * [`polymem_kernel`] — PolyMem wrapped as a pipelined kernel with the
-//!   paper's 14-cycle read latency and read-old port semantics.
+//!   paper's 14-cycle read latency and read-old port semantics;
+//! * [`vcd`] — waveform export: renders the `polymem::tracing` span
+//!   journal, the simulator's one event sink, as a VCD document.
 //!
 //! The `polymem-stream-bench` crate builds the paper's STREAM design
 //! (Fig. 9) on top of these pieces.
@@ -36,7 +39,6 @@ pub mod pcie;
 pub mod polymem_kernel;
 pub mod sched;
 pub mod stream;
-pub mod trace;
 pub mod vcd;
 
 pub use clock::SimClock;
@@ -49,10 +51,6 @@ pub use pcie::{Host, HostStats, PcieLink};
 pub use polymem_kernel::{
     PolyMemKernel, ReadRequest, ReadResponse, WriteRequest, PAPER_READ_LATENCY,
 };
-pub use sched::{SchedulerMode, SchedulerStats};
-pub use stream::{stream, Fifo, StreamRef};
-pub use trace::{
-    burst_summary, stream_report, stream_report_traced, stream_stats, BurstSummary, StreamStats,
-    TraceEvent, Tracer,
-};
+pub use sched::{SchedTrace, SchedulerMode, SchedulerStats};
+pub use stream::{stream, stream_stats, Fifo, StreamRef, StreamStats};
 pub use vcd::VcdRecorder;

@@ -11,9 +11,8 @@
 
 use crate::clock::SimClock;
 use crate::kernel::{self, Kernel, StreamEdge};
-use crate::sched::{self, SchedulerMode, SchedulerStats, Step};
-use crate::trace::Tracer;
-use polymem::tracing::{NameId, TraceJournal, TraceWriter};
+use crate::sched::{self, SchedTrace, SchedulerMode, SchedulerStats, Step};
+use polymem::tracing::TraceJournal;
 
 /// Outcome of [`Manager::diagnose_stall`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,18 +48,7 @@ pub struct Manager {
     /// [`Manager::diagnose_stall`] reuse a finished run instead of
     /// re-driving the design.
     last_run_end: Option<u64>,
-    tracer: Option<Tracer>,
-    trc: Option<SchedTracing>,
-}
-
-/// Span-journal bridge for the scheduler (see [`Manager::attach_journal`]):
-/// keeps the journal's logical clock in step with the simulation clock and
-/// renders every event-driven fast-forward as one collapsed span on the
-/// `sched` track.
-struct SchedTracing {
-    journal: TraceJournal,
-    writer: TraceWriter,
-    fast_forward: NameId,
+    trace: Option<SchedTrace>,
 }
 
 impl Manager {
@@ -78,8 +66,7 @@ impl Manager {
             stats: SchedulerStats::default(),
             stalled_at: None,
             last_run_end: None,
-            tracer: None,
-            trc: None,
+            trace: None,
         }
     }
 
@@ -109,11 +96,6 @@ impl Manager {
         self.stats
     }
 
-    /// Record fast-forward jumps into `tracer` (as `sched` events).
-    pub fn attach_tracer(&mut self, tracer: Tracer) {
-        self.tracer = Some(tracer);
-    }
-
     /// Drive `journal`'s logical clock from the simulation clock and record
     /// every event-driven fast-forward as a `fast-forward` span on the
     /// `sched` track — a skipped quiescent span appears in Perfetto as one
@@ -122,12 +104,7 @@ impl Manager {
     /// [`crate::polymem_kernel::PolyMemKernel::attach_tracing`]) is
     /// attached per kernel, before registration.
     pub fn attach_journal(&mut self, journal: &TraceJournal) {
-        journal.set_cycle(self.clock.cycle());
-        self.trc = Some(SchedTracing {
-            journal: journal.clone(),
-            writer: journal.writer("sched"),
-            fast_forward: journal.intern("fast-forward"),
-        });
+        self.trace = Some(SchedTrace::new(journal, self.clock.cycle()));
     }
 
     /// Names of registered kernels, in tick order.
@@ -145,42 +122,6 @@ impl Manager {
         self.kernels.iter().all(|k| k.is_idle())
     }
 
-    /// One ticked-loop cycle: tick every kernel, advance the clock.
-    fn step_ticked(&mut self) {
-        let c = self.clock.cycle();
-        if let Some(tr) = &self.trc {
-            tr.journal.set_cycle(c);
-        }
-        for k in &mut self.kernels {
-            k.tick(c);
-        }
-        self.clock.tick();
-    }
-
-    /// One event-driven step: tick if anyone can act, else fast-forward.
-    fn step_event(&mut self, bound: u64) {
-        let before = self.clock.cycle();
-        if let Some(tr) = &self.trc {
-            tr.journal.set_cycle(before);
-        }
-        let step = sched::advance(&mut self.clock, &mut self.kernels, bound, &mut self.stats);
-        match step {
-            Step::Ticked => {}
-            Step::Jumped(span) | Step::Stuck(span) => {
-                if let Some(t) = &self.tracer {
-                    t.record_jump(before, before + span, "sched");
-                }
-                if let Some(tr) = &self.trc {
-                    tr.writer.span_at(before, before + span, tr.fast_forward);
-                    tr.journal.set_cycle(before + span);
-                }
-                if matches!(step, Step::Stuck(_)) && self.stalled_at.is_none() && !self.all_idle() {
-                    self.stalled_at = Some(before);
-                }
-            }
-        }
-    }
-
     /// Drive the design until `clock.cycle() == bound` or `done` reports
     /// completion (checked before every step, like the ticked loop checked
     /// it before every cycle — during a quiescent span no simulator state
@@ -188,9 +129,17 @@ impl Manager {
     fn run_loop(&mut self, bound: u64, mut done: impl FnMut(&Self) -> bool) {
         self.stalled_at = None;
         while self.clock.cycle() < bound && !done(self) {
-            match self.mode {
-                SchedulerMode::Ticked => self.step_ticked(),
-                SchedulerMode::EventDriven => self.step_event(bound),
+            let before = self.clock.cycle();
+            let step = sched::step(
+                self.mode,
+                &mut self.clock,
+                &mut self.kernels,
+                bound,
+                &mut self.stats,
+                self.trace.as_ref(),
+            );
+            if matches!(step, Step::Stuck(_)) && self.stalled_at.is_none() && !self.all_idle() {
+                self.stalled_at = Some(before);
             }
         }
         self.last_run_end = Some(self.clock.cycle());
@@ -412,27 +361,6 @@ mod tests {
             stats.ticked_cycles
         );
         assert!(stats.skipped_cycles > 9_000);
-    }
-
-    #[test]
-    fn tracer_records_fast_forward_jumps() {
-        let mut m = Manager::new(100.0);
-        let tracer = Tracer::new(64);
-        m.attach_tracer(tracer.clone());
-        let s = stream::<u64>("clogged", 1);
-        m.add_kernel(Box::new(crate::components::Generator::new(
-            "producer",
-            vec![1, 2],
-            Rc::clone(&s),
-        )));
-        m.run_until_idle(100);
-        let events = tracer.events();
-        assert!(
-            events
-                .iter()
-                .any(|e| e.source == "sched" && e.event.contains("fast-forward")),
-            "expected a fast-forward trace event, got {events:?}"
-        );
     }
 
     #[test]

@@ -9,7 +9,6 @@
 
 use crate::kernel::{DelayLine, Endpoint, Kernel};
 use crate::stream::StreamRef;
-use crate::trace::Tracer;
 use polymem::telemetry::{Counter, TelemetryRegistry};
 use polymem::tracing::{NameId, TraceJournal, TraceWriter};
 use polymem::{ParallelAccess, PolyMem, PolyMemConfig, PolyMemError, Region};
@@ -193,9 +192,6 @@ pub struct PolyMemKernel {
     copy_busy_until: u64,
     region_writes_served: u64,
     region_copies_served: u64,
-    /// Optional event recorder: one `burst:<kind> len=<n>` event per
-    /// accepted burst (see [`crate::trace::burst_summary`]).
-    tracer: Option<Tracer>,
     /// Reusable lane buffer: the compiled-plan gather lands here each cycle,
     /// so the steady-state read path performs no routing work per tick.
     scratch: Vec<u64>,
@@ -255,7 +251,6 @@ impl PolyMemKernel {
             copy_busy_until: 0,
             region_writes_served: 0,
             region_copies_served: 0,
-            tracer: None,
             scratch: vec![0; config.lanes()],
             errors: Vec::new(),
             reads_served: 0,
@@ -469,27 +464,12 @@ impl PolyMemKernel {
         self.region_copy_resp = Some(resp);
     }
 
-    /// Record burst activity into `tracer` (`burst:<kind> len=<n>` events
-    /// under this kernel's name).
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = Some(tracer);
-    }
-
-    fn trace_burst(&self, cycle: u64, kind: &str, len: usize, access_cycles: u64) {
-        if let Some(t) = &self.tracer {
-            // Lazy record: a disabled tracer costs one flag check — no
-            // clone of the kernel name, no format!.
-            t.record_with(cycle, &self.name, || format!("burst:{kind} len={len}"));
-        }
+    /// Record a burst accepted at `cycle` as a span over the
+    /// `access_cycles` its datapath is occupied, on the `kind` track
+    /// (0 read, 1 write, 2 copy; see [`KernelTracing::burst_writers`]).
+    fn trace_burst(&self, cycle: u64, kind: usize, access_cycles: u64) {
         if let Some(tr) = &self.trc {
-            // The burst occupies its datapath for `access_cycles` starting
-            // now; the span covers exactly that window.
-            let k = match kind {
-                "read" => 0,
-                "write" => 1,
-                _ => 2,
-            };
-            tr.burst_writers[k].span_at(cycle, cycle + access_cycles, tr.burst_names[k]);
+            tr.burst_writers[kind].span_at(cycle, cycle + access_cycles, tr.burst_names[kind]);
         }
     }
 
@@ -596,7 +576,7 @@ impl Kernel for PolyMemKernel {
                                 Some((cycle + access_cycles + self.read_latency, data));
                             self.region_reads_served += 1;
                             self.reads_served += region.len().div_ceil(lanes) as u64;
-                            self.trace_burst(cycle, "read", region.len(), access_cycles);
+                            self.trace_burst(cycle, 0, access_cycles);
                         }
                         Err(e) => self.errors.push(e),
                     }
@@ -643,7 +623,7 @@ impl Kernel for PolyMemKernel {
                             self.region_copies_served += 1;
                             self.reads_served += access_cycles;
                             self.writes_served += access_cycles;
-                            self.trace_burst(cycle, "copy", src.len(), access_cycles);
+                            self.trace_burst(cycle, 2, access_cycles);
                         }
                         Err(e) => self.errors.push(e),
                     }
@@ -665,7 +645,7 @@ impl Kernel for PolyMemKernel {
                             self.write_busy_until = cycle + access_cycles;
                             self.region_writes_served += 1;
                             self.writes_served += access_cycles;
-                            self.trace_burst(cycle, "write", region.len(), access_cycles);
+                            self.trace_burst(cycle, 1, access_cycles);
                         }
                         Err(e) => self.errors.push(e),
                     }
@@ -1162,8 +1142,6 @@ mod tests {
         )
         .unwrap();
         k.attach_region_copy_port(Rc::clone(&cq), Rc::clone(&cs));
-        let tracer = crate::trace::Tracer::new(64);
-        k.set_tracer(tracer.clone());
         for r in 0..16usize {
             for c in 0..16usize {
                 k.mem().set(r, c, (r * 16 + c) as u64).unwrap();
@@ -1186,9 +1164,6 @@ mod tests {
             let (si, sj) = src.coords_iter().unwrap().nth(t).unwrap();
             assert_eq!(k.mem().get(i, j).unwrap(), (si * 16 + sj) as u64);
         }
-        let s = crate::trace::burst_summary(&tracer, "pm");
-        assert_eq!(s.copies, 1);
-        assert_eq!(s.elements, 32);
     }
 
     #[test]

@@ -26,9 +26,15 @@
 //! fast-forwarded. `tests/parity.rs` drives random kernel graphs through
 //! both schedulers and asserts identical cycle counts, attribution buckets,
 //! and memory end-state.
+//!
+//! [`step`] is the one loop body every driver uses ([`crate::Manager`] and
+//! `StreamApp`): it runs a step of either [`SchedulerMode`] and, given a
+//! [`SchedTrace`], keeps the span journal's clock in step with the
+//! simulation clock.
 
 use crate::clock::SimClock;
 use crate::kernel::Kernel;
+use polymem::tracing::{NameId, TraceJournal, TraceWriter};
 use std::borrow::BorrowMut;
 
 /// Which driving loop a [`crate::Manager`] (or `StreamApp`) uses.
@@ -131,6 +137,76 @@ where
     } else {
         Step::Jumped(target - now)
     }
+}
+
+/// A scheduler's span-journal wiring: [`step`] stamps the journal with the
+/// simulation clock and records every fast-forward as one `fast-forward`
+/// span on the `sched` track — a skipped quiescent span appears in
+/// Perfetto as one collapsed box covering exactly the cycles never ticked.
+#[derive(Debug)]
+pub struct SchedTrace {
+    journal: TraceJournal,
+    writer: TraceWriter,
+    fast_forward: NameId,
+}
+
+impl SchedTrace {
+    /// Wire `journal`, setting its clock to `cycle` (the driver's current
+    /// simulation cycle).
+    pub fn new(journal: &TraceJournal, cycle: u64) -> Self {
+        journal.set_cycle(cycle);
+        Self {
+            journal: journal.clone(),
+            writer: journal.writer("sched"),
+            fast_forward: journal.intern("fast-forward"),
+        }
+    }
+
+    /// The wired journal.
+    pub fn journal(&self) -> &TraceJournal {
+        &self.journal
+    }
+}
+
+/// One step of `mode`'s loop, never past `bound` (see [`advance`]).
+/// [`SchedulerMode::Ticked`] ticks every kernel once and leaves `stats`
+/// untouched; [`SchedulerMode::EventDriven`] runs [`advance`]. With a
+/// `trace`, kernels tick with the journal's clock at the current cycle, a
+/// jump is recorded as a `sched` span, and the journal's clock ends the
+/// step equal to the simulation clock.
+#[inline]
+pub fn step<'k, K>(
+    mode: SchedulerMode,
+    clock: &mut SimClock,
+    kernels: &mut [K],
+    bound: u64,
+    stats: &mut SchedulerStats,
+    trace: Option<&SchedTrace>,
+) -> Step
+where
+    K: BorrowMut<dyn Kernel + 'k>,
+{
+    let before = clock.cycle();
+    if let Some(tr) = trace {
+        tr.journal.set_cycle(before);
+    }
+    let step = match mode {
+        SchedulerMode::Ticked => {
+            for k in kernels.iter_mut() {
+                k.borrow_mut().tick(before);
+            }
+            clock.tick();
+            Step::Ticked
+        }
+        SchedulerMode::EventDriven => advance(clock, kernels, bound, stats),
+    };
+    if let Some(tr) = trace {
+        if let Step::Jumped(span) | Step::Stuck(span) = step {
+            tr.writer.span_at(before, before + span, tr.fast_forward);
+        }
+        tr.journal.set_cycle(clock.cycle());
+    }
+    step
 }
 
 #[cfg(test)]
@@ -250,6 +326,65 @@ mod tests {
         assert_eq!(step, Step::Stuck(64));
         assert_eq!(clock.cycle(), 64);
         assert_eq!(stats.total_cycles(), 64);
+    }
+
+    /// A kernel that never acts on its own: [`advance`] jumps it to the
+    /// bound.
+    struct Quiet;
+
+    impl Kernel for Quiet {
+        fn name(&self) -> &str {
+            "quiet"
+        }
+        fn tick(&mut self, _c: u64) {}
+        fn next_event(&self) -> Option<u64> {
+            None
+        }
+    }
+
+    #[test]
+    fn ticked_step_ticks_once_and_leaves_stats_untouched() {
+        let mut clock = SimClock::new(100.0);
+        let mut kernels: Vec<Box<dyn Kernel>> = vec![Box::new(Quiet)];
+        let mut stats = SchedulerStats::default();
+        for _ in 0..3 {
+            let s = step(
+                SchedulerMode::Ticked,
+                &mut clock,
+                &mut kernels,
+                100,
+                &mut stats,
+                None,
+            );
+            assert_eq!(s, Step::Ticked);
+        }
+        assert_eq!(clock.cycle(), 3);
+        assert_eq!(stats, SchedulerStats::default());
+    }
+
+    #[test]
+    #[cfg(not(feature = "tracing-off"))]
+    fn traced_step_keeps_the_journal_clock_and_records_jumps() {
+        let journal = TraceJournal::new(64);
+        let mut clock = SimClock::new(100.0);
+        clock.advance(5);
+        let trace = SchedTrace::new(&journal, clock.cycle());
+        assert_eq!(journal.cycle(), 5);
+        let mut kernels: Vec<Box<dyn Kernel>> = vec![Box::new(Quiet)];
+        let mut stats = SchedulerStats::default();
+        for mode in [SchedulerMode::Ticked, SchedulerMode::EventDriven] {
+            step(mode, &mut clock, &mut kernels, 40, &mut stats, Some(&trace));
+            assert_eq!(journal.cycle(), clock.cycle(), "{mode:?}");
+        }
+        let spans = journal.snapshot().spans();
+        assert_eq!(spans.len(), 1, "only the jump is a span: {spans:?}");
+        let ff = &spans[0];
+        assert_eq!(
+            (ff.track.as_str(), ff.name.as_str()),
+            ("sched", "fast-forward")
+        );
+        assert_eq!((ff.begin, ff.end), (6, 40));
+        assert_eq!(ff.cycles(), stats.skipped_cycles);
     }
 
     #[test]

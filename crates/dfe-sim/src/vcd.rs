@@ -1,11 +1,14 @@
 //! VCD (Value Change Dump) export of simulation activity.
 //!
 //! Hardware engineers debug dataflow designs in a waveform viewer; this
-//! module renders recorded per-cycle signal values into IEEE-1364 VCD text
-//! that GTKWave & co. open directly — the missing visualisation the paper's
+//! module renders per-cycle signal values into IEEE-1364 VCD text that
+//! GTKWave & co. open directly — the missing visualisation the paper's
 //! §III-C complains about ("the lack of a graphical representation of the
-//! blocks in a design").
+//! blocks in a design"). [`VcdRecorder::from_trace`] records the signals
+//! from a span-journal snapshot, so a waveform is an exporter over the same
+//! events Perfetto shows, not a second record of the run.
 
+use polymem::tracing::TraceSnapshot;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -59,11 +62,49 @@ impl VcdRecorder {
         self.max_cycle = self.max_cycle.max(cycle);
     }
 
-    /// Render the VCD document. `timescale_ns` is the clock period.
-    pub fn render(&self, module: &str, timescale_ns: f64) -> String {
+    /// Record a journal snapshot: one signal `<track>.<span name>` per
+    /// track and span name, whose value at each cycle is the number of
+    /// that track's spans of that name open then (begin inclusive, end
+    /// exclusive). Every signal starts at 0 on cycle 0; its width fits its
+    /// peak. Instants carry no duration and are left out.
+    pub fn from_trace(snap: &TraceSnapshot) -> Self {
+        let mut deltas: BTreeMap<String, BTreeMap<u64, i64>> = BTreeMap::new();
+        for s in snap.spans() {
+            let d = deltas
+                .entry(format!("{}.{}", s.track, s.name).replace(char::is_whitespace, "_"))
+                .or_default();
+            *d.entry(s.begin).or_default() += 1;
+            *d.entry(s.end).or_default() -= 1;
+        }
+        let mut vcd = Self::new();
+        for (name, d) in deltas {
+            let levels: Vec<(u64, u64)> = d
+                .into_iter()
+                .scan(0i64, |open, (cycle, delta)| {
+                    *open += delta;
+                    Some((cycle, *open as u64))
+                })
+                .collect();
+            let peak = levels.iter().map(|&(_, v)| v).max().unwrap_or(0);
+            vcd.declare(&name, (u64::BITS - peak.leading_zeros()).max(1));
+            if levels.first().is_some_and(|&(cycle, _)| cycle > 0) {
+                vcd.sample(&name, 0, 0);
+            }
+            for (cycle, v) in levels {
+                vcd.sample(&name, cycle, v);
+            }
+        }
+        vcd
+    }
+
+    /// Render the VCD document for a clock of period `period_ns`. Times
+    /// are in picoseconds (`$timescale 1ps`; the standard allows only 1,
+    /// 10 or 100 as a magnitude), each change at its cycle's start rounded
+    /// to the nearest picosecond.
+    pub fn render(&self, module: &str, period_ns: f64) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "$date polymem-dfe-sim $end");
-        let _ = writeln!(out, "$timescale {}ns $end", timescale_ns.max(1.0) as u64);
+        let _ = writeln!(out, "$timescale 1ps $end");
         let _ = writeln!(out, "$scope module {module} $end");
         for (name, sig) in &self.signals {
             let _ = writeln!(out, "$var wire {} {} {} $end", sig.width, sig.id, name);
@@ -79,7 +120,11 @@ impl VcdRecorder {
             }
         }
         for (cycle, changes) in by_cycle {
-            let _ = writeln!(out, "#{cycle}");
+            let _ = writeln!(
+                out,
+                "#{}",
+                (cycle as f64 * period_ns * 1000.0).round() as u64
+            );
             for (sig, v) in changes {
                 if sig.width == 1 {
                     let _ = writeln!(out, "{}{}", v & 1, sig.id);
@@ -89,15 +134,6 @@ impl VcdRecorder {
             }
         }
         out
-    }
-
-    /// Sample a telemetry gauge (e.g. a FIFO-occupancy gauge) as a signal
-    /// value, clamping negative readings to zero — waveform viewers show
-    /// unsigned wires. Declare the signal first, as with [`Self::sample`].
-    /// In a `telemetry-off` build the gauge always reads zero, so the
-    /// waveform simply flatlines.
-    pub fn sample_metric(&mut self, name: &str, cycle: u64, gauge: &polymem::telemetry::Gauge) {
-        self.sample(name, cycle, gauge.get().max(0) as u64);
     }
 
     /// Number of declared signals.
@@ -138,11 +174,65 @@ mod tests {
         v.sample("write_enable", 3, 1);
         v.sample("data", 3, 0xAB);
         let doc = v.render("polymem", 8.0);
-        assert!(doc.contains("$timescale 8ns $end"));
+        assert!(doc.contains("$timescale 1ps $end"));
         assert!(doc.contains("$var wire 1"));
         assert!(doc.contains("$var wire 64"));
-        assert!(doc.contains("#3"));
+        assert!(doc.contains("#24000\n"));
         assert!(doc.contains("b10101011"));
+    }
+
+    #[test]
+    fn change_times_scale_by_the_clock_period() {
+        // 120 MHz: a cycle is 8333.3 ps, so cycle 3 starts at 25 000 ps
+        // (a whole-ns timescale would truncate it to 24 ns).
+        let mut v = VcdRecorder::new();
+        v.declare("s", 1);
+        v.sample("s", 0, 0);
+        v.sample("s", 3, 1);
+        let doc = v.render("m", 1000.0 / 120.0);
+        assert!(doc.contains("#0\n") && doc.contains("#25000\n"), "{doc}");
+    }
+
+    #[test]
+    fn from_trace_counts_open_spans_per_track_and_name() {
+        use polymem::tracing::{TraceEventKind, TraceEventRecord};
+        let ev = |kind, cycle, track: &str, name: &str, span| TraceEventRecord {
+            kind,
+            cycle,
+            name: name.to_string(),
+            track: track.to_string(),
+            span,
+            parent: 0,
+        };
+        use TraceEventKind::{Begin, End, Instant};
+        let snap = TraceSnapshot {
+            events: vec![
+                ev(Begin, 0, "pm", "active", 1),
+                ev(End, 3, "pm", "active", 1),
+                ev(Begin, 3, "pm", "idle", 2),
+                ev(End, 5, "pm", "idle", 2),
+                ev(Begin, 1, "pm/copy-bursts", "burst:copy", 3),
+                ev(Begin, 2, "pm/copy-bursts", "burst:copy", 4),
+                ev(End, 4, "pm/copy-bursts", "burst:copy", 4),
+                ev(End, 6, "pm/copy-bursts", "burst:copy", 3),
+                ev(Instant, 2, "pm", "note", 0),
+            ],
+            dropped: 0,
+            torn: 0,
+        };
+        let v = VcdRecorder::from_trace(&snap);
+        assert_eq!(v.signal_count(), 3, "instants add no signal");
+        let changes = |name: &str| v.signals[name].changes.clone();
+        assert_eq!(changes("pm.active"), vec![(0, 1), (3, 0)]);
+        assert_eq!(changes("pm.idle"), vec![(0, 0), (3, 1), (5, 0)]);
+        assert_eq!(
+            changes("pm/copy-bursts.burst:copy"),
+            vec![(0, 0), (1, 1), (2, 2), (4, 1), (6, 0)],
+            "overlapping spans count up"
+        );
+        assert_eq!(v.signals["pm.active"].width, 1);
+        assert_eq!(v.signals["pm/copy-bursts.burst:copy"].width, 2);
+        assert_eq!(v.max_cycle(), 6);
     }
 
     #[test]
@@ -190,24 +280,6 @@ mod tests {
         v.declare("s", 8);
         v.declare("s", 8);
         assert_eq!(v.signal_count(), 1);
-    }
-
-    #[test]
-    fn sample_metric_tracks_a_gauge() {
-        use polymem::telemetry::TelemetryRegistry;
-        let reg = TelemetryRegistry::new();
-        let occ = reg.gauge("fifo_occupancy", vec![("stream", "out".to_string())]);
-        let mut v = VcdRecorder::new();
-        v.declare("occupancy", 16);
-        for c in 0..4u64 {
-            occ.add(2);
-            v.sample_metric("occupancy", c, &occ);
-        }
-        occ.add(-100); // clamped to zero in the waveform
-        v.sample_metric("occupancy", 5, &occ);
-        let doc = v.render("m", 8.0);
-        assert!(doc.contains("b1000 "), "gauge value 8 sampled: {doc}");
-        assert!(doc.contains("b0 "), "negative reading clamps to 0");
     }
 
     #[test]

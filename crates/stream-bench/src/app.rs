@@ -24,10 +24,10 @@ use dfe_sim::clock::SimClock;
 use dfe_sim::kernel::{stream_graph, Kernel, StreamEdge};
 use dfe_sim::pcie::{Host, PcieLink};
 use dfe_sim::polymem_kernel::{PolyMemKernel, PAPER_READ_LATENCY};
-use dfe_sim::sched::{self, SchedulerMode, SchedulerStats, Step};
+use dfe_sim::sched::{self, SchedTrace, SchedulerMode, SchedulerStats};
 use dfe_sim::stream::stream;
 use polymem::telemetry::{Counter, Histogram, TelemetryRegistry};
-use polymem::tracing::{NameId, TraceJournal, TraceWriter};
+use polymem::tracing::TraceJournal;
 use polymem::PolyMemError;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -62,14 +62,12 @@ struct AppTelemetry {
 }
 
 /// Span-journal wiring for the whole design (see
-/// [`StreamApp::attach_tracing`]): the PolyMem kernel instruments itself;
-/// the app keeps the journal's logical clock in step with the simulation
-/// clock, renders scheduler fast-forwards as `sched`-track spans, and
-/// mirrors the journal's drop counter into telemetry.
+/// [`StreamApp::attach_tracing`]): the PolyMem kernel instruments itself,
+/// the shared scheduler step keeps the journal's clock and records
+/// fast-forwards, and the app mirrors the journal's drop counter into
+/// telemetry.
 struct AppTracing {
-    journal: TraceJournal,
-    sched: TraceWriter,
-    fast_forward: NameId,
+    sched: SchedTrace,
     /// Drops already mirrored into `stream_trace_dropped_total`.
     synced_drops: u64,
 }
@@ -278,12 +276,9 @@ impl StreamApp {
     /// attribution run, so the journal's per-state span sums for the
     /// `polymem` track reconcile exactly with `dfe_kernel_cycles_total`.
     pub fn attach_tracing(&mut self, journal: &TraceJournal) {
-        journal.set_cycle(self.clock.cycle());
         self.polymem.attach_tracing(journal);
         self.trc = Some(AppTracing {
-            journal: journal.clone(),
-            sched: journal.writer("sched"),
-            fast_forward: journal.intern("fast-forward"),
+            sched: SchedTrace::new(journal, self.clock.cycle()),
             synced_drops: 0,
         });
     }
@@ -349,8 +344,13 @@ impl StreamApp {
             ..Default::default()
         };
         let start = self.clock.cycle();
-        let max = 4 * self.layout.a.chunks() as u64 + 1000;
         let units = self.stages[0].units();
+        // The wedge cap: a healthy pass makes at most 4 accesses per chunk
+        // and, even with no overlap at all, waits out the read latency once
+        // per read of each unit.
+        let max = 4 * self.layout.a.chunks() as u64
+            + (units * self.op.reads()) as u64 * (self.polymem.read_latency() + 1)
+            + 1000;
         let (first, rest) = self.stages.split_at_mut(1);
         let mut kernels: Vec<&mut dyn Kernel> = first
             .iter_mut()
@@ -361,30 +361,14 @@ impl StreamApp {
         // The pass ends once the last unit is written and the memory (slot
         // 1) has drained every request and pipeline.
         while self.state.borrow().running || !kernels[1].is_idle() {
-            let before = self.clock.cycle();
-            if let Some(tr) = &self.trc {
-                tr.journal.set_cycle(before);
-            }
-            match self.mode {
-                SchedulerMode::Ticked => {
-                    for k in kernels.iter_mut() {
-                        k.tick(before);
-                    }
-                    self.clock.tick();
-                }
-                SchedulerMode::EventDriven => {
-                    let step = sched::advance(
-                        &mut self.clock,
-                        &mut kernels,
-                        start + max + 1,
-                        &mut self.sched_stats,
-                    );
-                    if let (Some(tr), Step::Jumped(span) | Step::Stuck(span)) = (&self.trc, step) {
-                        tr.sched.span_at(before, before + span, tr.fast_forward);
-                        tr.journal.set_cycle(before + span);
-                    }
-                }
-            }
+            sched::step(
+                self.mode,
+                &mut self.clock,
+                &mut kernels,
+                start + max + 1,
+                &mut self.sched_stats,
+                self.trc.as_ref().map(|tr| &tr.sched),
+            );
             if self.clock.cycle() - start > max {
                 panic!(
                     "STREAM pass wedged after {} cycles ({} of {} units written)",
@@ -397,9 +381,8 @@ impl StreamApp {
         let cycles = self.clock.cycle() - start;
         if let Some(tr) = &mut self.trc {
             self.polymem.finish_tracing();
-            tr.journal.set_cycle(self.clock.cycle());
             if let Some(t) = &self.tlm {
-                let dropped = tr.journal.dropped();
+                let dropped = tr.sched.journal().dropped();
                 t.trace_dropped.add(dropped - tr.synced_drops);
                 tr.synced_drops = dropped;
             }
@@ -828,6 +811,86 @@ mod tests {
             Some(dropped)
         );
         assert_eq!(journal.snapshot().dropped, dropped);
+    }
+
+    /// Cycles each signal of a rendered VCD document spends non-zero, by
+    /// signal name, reading change times back through the clock period.
+    #[cfg(not(feature = "tracing-off"))]
+    fn vcd_high_cycles(doc: &str, period_ns: f64) -> std::collections::BTreeMap<String, u64> {
+        use std::collections::{BTreeMap, HashMap};
+        let mut names = HashMap::new();
+        let mut since: HashMap<&str, u64> = HashMap::new();
+        let mut high = BTreeMap::new();
+        let mut now = 0;
+        for line in doc.lines() {
+            let f: Vec<&str> = line.split_whitespace().collect();
+            let (id, value) = match f.as_slice() {
+                ["$var", "wire", _, id, name, "$end"] => {
+                    names.insert(*id, name.to_string());
+                    continue;
+                }
+                [t] if t.starts_with('#') => {
+                    let ps: f64 = t[1..].parse().unwrap();
+                    now = (ps / (period_ns * 1000.0)).round() as u64;
+                    continue;
+                }
+                [bits, id] if bits.starts_with('b') => {
+                    (*id, u64::from_str_radix(&bits[1..], 2).unwrap())
+                }
+                [bit_id] if bit_id.starts_with(['0', '1']) => {
+                    (&bit_id[1..], u64::from(bit_id.starts_with('1')))
+                }
+                _ => continue,
+            };
+            let name = &names[id];
+            if let Some(from) = since.remove(id) {
+                *high.entry(name.clone()).or_default() += now - from;
+            }
+            if value > 0 {
+                since.insert(id, now);
+            }
+        }
+        assert!(since.is_empty(), "every signal ends low: {since:?}");
+        high
+    }
+
+    #[test]
+    #[cfg(not(feature = "tracing-off"))]
+    fn traced_copy_pass_renders_attribution_vcd() {
+        use dfe_sim::VcdRecorder;
+        use polymem::tracing::TraceJournal;
+        // The Fig. 9 Copy design, traced: the waveform recorded from the
+        // journal holds one `polymem.<state>` signal per attribution state,
+        // high on exactly the cycles dfe_kernel_cycles_total counts.
+        let layout = StreamLayout::new(1024, 64, 2, 4, AccessScheme::RoCo, 2).unwrap();
+        let mut app = StreamApp::new(StreamOp::Copy, layout, PAPER_STREAM_FREQ_MHZ).unwrap();
+        let reg = polymem::TelemetryRegistry::new();
+        app.attach_telemetry(&reg);
+        let journal = TraceJournal::new(1 << 14);
+        app.attach_tracing(&journal);
+        let (a, b, c) = vectors(1024);
+        app.load(&a, &b, &c).unwrap();
+        let cycles = app.run_pass();
+        let snap = journal.snapshot();
+        assert_eq!(snap.dropped, 0, "journal sized for the pass");
+        let period_ns = 1000.0 / PAPER_STREAM_FREQ_MHZ;
+        let doc = VcdRecorder::from_trace(&snap).render("stream_copy", period_ns);
+        let high = vcd_high_cycles(&doc, period_ns);
+        let reg_snap = reg.snapshot();
+        let mut total = 0;
+        for state in ["active", "contention", "pipeline", "pcie", "idle"] {
+            let counted = reg_snap
+                .counter_value(
+                    "dfe_kernel_cycles_total",
+                    &[("kernel", "polymem"), ("state", state)],
+                )
+                .unwrap_or(0);
+            let signal = high.get(&format!("polymem.{state}")).copied().unwrap_or(0);
+            assert_eq!(signal, counted, "high cycles of polymem.{state}");
+            total += signal;
+        }
+        assert_eq!(total, cycles, "the attribution signals cover the pass");
+        assert_eq!(app.offload().0, a, "the traced pass still copies");
     }
 
     /// One verified pass of `design` x `op` on `layout` under `mode`.

@@ -386,17 +386,17 @@ fn main() -> ExitCode {
         };
 
         if opts.selected("streams") {
-            let stream_reports = streams::check_all(&mut findings);
-            let total_streams: usize = stream_reports.iter().map(|r| r.streams).sum();
-            let total_registered: usize = stream_reports.iter().map(|r| r.registered).sum();
+            let graph_reports = streams::check_all(&mut findings);
+            let total_streams: usize = graph_reports.iter().map(|r| r.streams).sum();
+            let total_registered: usize = graph_reports.iter().map(|r| r.registered).sum();
             println!(
                 "  streams: {} live design graph(s), {} stream(s) ({} register-backed), \
                  wait graphs acyclic — no static deadlock",
-                stream_reports.len(),
+                graph_reports.len(),
                 total_streams,
                 total_registered
             );
-            sections.push(("streams".into(), streams_json(&stream_reports)));
+            sections.push(("streams".into(), streams_json(&graph_reports)));
         }
 
         if opts.selected("telemetry") {

@@ -208,17 +208,27 @@ fn stream_app_panics_on_wedged_pipeline_with_diagnostics() {
     // Force a wedge: an app whose controller is never armed cannot wedge
     // (pass_done is immediately true), but a latency larger than the
     // response FIFO would deadlock a naive design. Our response FIFO is
-    // sized latency + 8, so a huge latency still drains; verify it.
+    // sized latency + 8, so a huge latency still drains — and the wedge
+    // cap grows with the latency instead of mistaking a long fill for a
+    // wedge; verify both, in every design.
     use stream_bench::{Design, StreamApp, StreamLayout, StreamOp};
     let layout = StreamLayout::new(512, 64, 2, 4, AccessScheme::RoCo, 2).unwrap();
-    let mut app = StreamApp::build(Design::Fused, StreamOp::Copy, layout, 120.0, 300).unwrap();
     let a: Vec<f64> = (0..512).map(|k| k as f64).collect();
     let z = vec![0.0; 512];
-    app.load(&a, &z, &z).unwrap();
-    let t = app.measure(1);
-    assert!(t.cycles_per_run > 300, "latency dominates a short run");
-    let (out, _) = app.offload();
-    assert_eq!(out, a);
+    for (design, latency) in [(Design::Fused, 300)]
+        .into_iter()
+        .chain(Design::ALL.map(|d| (d, 2000)))
+    {
+        let mut app = StreamApp::build(design, StreamOp::Copy, layout, 120.0, latency).unwrap();
+        app.load(&a, &z, &z).unwrap();
+        let t = app.measure(1);
+        assert!(
+            t.cycles_per_run > latency,
+            "{design:?}: latency dominates a short run"
+        );
+        let (out, _) = app.offload();
+        assert_eq!(out, a, "{design:?} at latency {latency}");
+    }
 }
 
 #[test]
